@@ -19,7 +19,7 @@ import sys
 
 from . import homology as homology_mod
 from .complexes import build_poset, complex_dimension, hasse_dot, link_cells
-from .enumeration import enumerate_types, max_edges
+from .enumeration import enumerate_types
 from .errors import (
     ExtendedCurveError,
     GraphError,
@@ -43,11 +43,34 @@ _DOMAIN_ERRORS = (
 )
 
 
+class _EnvironmentUsageError(Exception):
+    """A TROPMODULI_* variable that its flag would refuse."""
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _count(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}"
+        )
+    return value
+
+
 def _env(name: str, cast, fallback):
     raw = os.environ.get(f"TROPMODULI_{name}")
     if raw is None or raw == "":
         return fallback
-    return cast(raw)
+    try:
+        return cast(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise _EnvironmentUsageError(f"TROPMODULI_{name}: {exc}") from None
 
 
 def _dump_json(data) -> str:
@@ -72,7 +95,7 @@ def _add_common(parser, formats) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        default=_env("THREADS", int, 1),
+        default=_env("THREADS", _integer, 1),
         help="parallelism budget; output is identical for any value",
     )
     parser.add_argument(
@@ -118,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_hom.add_argument(
         "--max-generators",
-        type=int,
-        default=_env("MAX_GENERATORS", int, homology_mod.DEFAULT_MAX_GENERATORS),
+        type=_count,
+        default=_env("MAX_GENERATORS", _count, homology_mod.DEFAULT_MAX_GENERATORS),
         help="abort if the chain complex needs more generators (0 = no cap)",
     )
     _add_common(p_hom, ["json", "csv"])
@@ -206,10 +229,7 @@ def _run_homology(args) -> None:
     profile = homology_mod.reduced_homology(
         args.genus, args.markings, threads=args.threads, max_generators=cap
     )
-    d = max_edges(args.genus, args.markings)
-    top_weight = {
-        k: profile.betti(2 * d - k - 1) for k in range(d, 2 * d + 1)
-    }
+    top_weight = profile.top_weight()
     if args.format == "json":
         payload = {
             "g": profile.g,
@@ -282,7 +302,11 @@ _RUNNERS = {
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except _EnvironmentUsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

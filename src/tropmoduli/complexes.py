@@ -6,18 +6,29 @@ arises from which by contraction.  Dropping the cone point and cutting at
 volume one turns cones of dimension d into link cells of dimension d - 1.
 
 The self-gluing of a symmetric cone is not stored geometrically: it is
-carried entirely by the edge group on each cell, which is exactly what the
-homology of the link consumes.
+carried entirely by the edge group on each cell, whose parity is exactly what
+the homology of the link consumes.
+
+Every (type, edge) contraction is canonicalized once, in build_poset, which
+records its target type and incidence sign; covers, link faces and boundary
+columns are all read from that one table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .enumeration import TypeCatalog, enumerate_types, has_expansion, max_edges
 from .errors import InternalConsistencyError
-from .graphs import EdgeAutomorphismGroup, WeightedMarkedGraph
-from .parallel import parallel_map
+from .graphs import (
+    EdgeAutomorphismGroup,
+    WeightedMarkedGraph,
+    _canonical_raw,
+    _contract_raw,
+    _edge_relabeling,
+    perm_sign,
+)
 
 
 @dataclass(frozen=True)
@@ -26,7 +37,22 @@ class Cone:
 
     graph: WeightedMarkedGraph
     dimension: int  # = number of edges
-    edge_group: EdgeAutomorphismGroup
+
+    @cached_property
+    def edge_group(self) -> EdgeAutomorphismGroup:
+        """Edge-permutation image of the automorphism group, computed once."""
+        return self.graph.automorphisms()
+
+    @property
+    def is_odd(self) -> bool:
+        """Whether some automorphism permutes the edges oddly.
+
+        Two parallel edges, or two loops at one vertex, swap to a
+        transposition, so only types without a repeated edge need their
+        edge group for the answer.
+        """
+        edges = self.graph.edges
+        return len(set(edges)) < len(edges) or self.edge_group.has_odd_element
 
 
 @dataclass(frozen=True)
@@ -37,12 +63,17 @@ class FacePoset:
     parent type lands on the child type.  Isomorphic children reached through
     different edges are recorded once per edge, because boundary coefficients
     need the multiplicity.  The full order is the transitive closure.
+
+    signs[k] is the incidence sign of covers[k]: (-1)**edge times the sign of
+    the permutation taking the surviving edges, in their order, to the
+    child's canonical edge order.
     """
 
     g: int
     n: int
     types: tuple[WeightedMarkedGraph, ...]
     covers: tuple[tuple[int, int, int], ...]
+    signs: tuple[int, ...]
 
     def relations(self):
         """All (parent, child, witness edge set) triples, witnesses separate."""
@@ -68,13 +99,15 @@ class LinkComplex:
 
     A type with d edges gives a cell of dimension d - 1.  faces holds
     (cell, face cell or -1, contracted edge) triples; -1 means the
-    contraction reached the edgeless cone point.
+    contraction reached the edgeless cone point.  signs[k] is the incidence
+    sign of faces[k], as in FacePoset.
     """
 
     g: int
     n: int
     cells: tuple[Cone, ...]
     faces: tuple[tuple[int, int, int], ...]
+    signs: tuple[int, ...]
 
     def dimension(self) -> int:
         return max((c.dimension - 1 for c in self.cells), default=-1)
@@ -86,42 +119,44 @@ class LinkComplex:
 
 
 def build_poset(g: int, n: int, threads: int = 1, catalog: TypeCatalog | None = None) -> FacePoset:
-    """Face poset of the moduli cone complex for (g, n)."""
+    """Face poset of the moduli cone complex for (g, n), with incidence signs.
+
+    Catalog entries are canonical triples, so they index themselves; each
+    distinct contracted triple is canonicalized once.
+    """
     if catalog is None:
         catalog = enumerate_types(g, n, threads=threads)
-    index = {t.canonical_key(): i for i, t in enumerate(catalog.strata)}
-
-    def covers_of(item):
-        i, t = item
-        return [
-            (i, index[t.contract(e).canonical_key()], e)
-            for e in range(t.num_edges)
-        ]
-
-    batches = parallel_map(covers_of, enumerate(catalog.strata), threads=threads)
-    covers = tuple(c for batch in batches for c in batch)
-    return FacePoset(g=g, n=n, types=catalog.strata, covers=covers)
+    index = {(t.weights, t.edges, t.markings): i for i, t in enumerate(catalog.strata)}
+    landing: dict = {}  # contracted triple -> (target index, relabeling sign)
+    covers = []
+    signs = []
+    for i, t in enumerate(catalog.strata):
+        for e in range(t.num_edges):
+            contracted = _contract_raw(t.weights, t.edges, t.markings, e)
+            hit = landing.get(contracted)
+            if hit is None:
+                key, order = _canonical_raw(*contracted)
+                hit = (index[key], perm_sign(_edge_relabeling(contracted[1], order)))
+                landing[contracted] = hit
+            covers.append((i, hit[0], e))
+            signs.append(-hit[1] if e % 2 else hit[1])
+    return FacePoset(g=g, n=n, types=catalog.strata, covers=tuple(covers), signs=tuple(signs))
 
 
 def link_cells(g: int, n: int, threads: int = 1, catalog: TypeCatalog | None = None) -> LinkComplex:
-    """Cell structure of the link, with edge groups, from the face poset."""
+    """Cell structure of the link from the face poset; edge groups are lazy."""
     poset = build_poset(g, n, threads=threads, catalog=catalog)
     with_edges = [i for i, t in enumerate(poset.types) if t.num_edges > 0]
     renumber = {old: new for new, old in enumerate(with_edges)}
-    cones = parallel_map(
-        lambda i: Cone(
-            graph=poset.types[i],
-            dimension=poset.types[i].num_edges,
-            edge_group=poset.types[i].automorphisms(),
-        ),
-        with_edges,
-        threads=threads,
+    cones = tuple(
+        Cone(graph=poset.types[i], dimension=poset.types[i].num_edges)
+        for i in with_edges
     )
     faces = tuple(
         (renumber[parent], renumber.get(child, -1), edge)
         for parent, child, edge in poset.covers
     )
-    return LinkComplex(g=g, n=n, cells=tuple(cones), faces=faces)
+    return LinkComplex(g=g, n=n, cells=cones, faces=faces, signs=poset.signs)
 
 
 def complex_dimension(g: int, n: int, threads: int = 1, catalog: TypeCatalog | None = None) -> int:
@@ -145,7 +180,8 @@ def complex_dimension(g: int, n: int, threads: int = 1, catalog: TypeCatalog | N
         if t.num_edges < top and not has_expansion(t):
             raise InternalConsistencyError(
                 f"purity violation at (g, n) = ({g}, {n}): maximal type "
-                f"{t.canonical_key()} has {t.num_edges} edges, expected {top}"
+                f"{(t.weights, t.edges, t.markings)} has {t.num_edges} edges, "
+                f"expected {top}"
             )
     return top - 1
 

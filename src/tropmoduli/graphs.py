@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import GraphError
 
@@ -157,22 +156,9 @@ class WeightedMarkedGraph:
         """
         if not 0 <= edge_index < len(self.edges):
             raise GraphError(f"no edge with index {edge_index}")
-        u, v = self.edges[edge_index]
-        rest = self.edges[:edge_index] + self.edges[edge_index + 1:]
-        if u == v:
-            weights = list(self.weights)
-            weights[u] += 1
-            return WeightedMarkedGraph(tuple(weights), rest, self.markings)
-        # merge v into u; vertices above v shift down
-        remap = [x - 1 if x > v else (u if x == v else x) for x in range(len(self.weights))]
-        weights = [w for x, w in enumerate(self.weights) if x != v]
-        weights[remap[u]] += self.weights[v]
-        edges = tuple(
-            (remap[a], remap[b]) if remap[a] <= remap[b] else (remap[b], remap[a])
-            for a, b in rest
+        return WeightedMarkedGraph(
+            *_contract_raw(self.weights, self.edges, self.markings, edge_index)
         )
-        markings = tuple(remap[m] for m in self.markings)
-        return WeightedMarkedGraph(tuple(weights), edges, markings)
 
     def contract_set(self, edge_indices) -> "WeightedMarkedGraph":
         """Contract a set of edges (order does not matter up to isomorphism)."""
@@ -185,26 +171,16 @@ class WeightedMarkedGraph:
 
     def canonical_certificate(self) -> "GraphIsoCertificate":
         """Canonical form: equal encodings iff isomorphic graphs."""
-        key, order = _canonical_data(self)
-        pos = [0] * len(order)
-        for i, v in enumerate(order):
-            pos[v] = i
-        # canonical edge order: sort relabeled pairs, ties broken by original index
-        tagged = sorted(
-            (_relabeled_pair(e, pos), idx) for idx, e in enumerate(self.edges)
-        )
-        edge_relabeling = [0] * len(self.edges)
-        for new_idx, (_, old_idx) in enumerate(tagged):
-            edge_relabeling[old_idx] = new_idx
+        key, order = _canonical_raw(self.weights, self.edges, self.markings)
         return GraphIsoCertificate(
             encoding=repr(key).encode("ascii"),
-            vertex_relabeling=tuple(pos),
-            edge_relabeling=tuple(edge_relabeling),
+            vertex_relabeling=_positions(order),
+            edge_relabeling=_edge_relabeling(self.edges, order),
         )
 
     def canonical_key(self):
         """Hashable canonical invariant (the tuple behind the encoding)."""
-        return _canonical_data(self)[0]
+        return _canonical_raw(self.weights, self.edges, self.markings)[0]
 
     def canonical(self) -> "WeightedMarkedGraph":
         """The canonical representative of this isomorphism class."""
@@ -223,11 +199,9 @@ class WeightedMarkedGraph:
         identity and hence never appear as nontrivial permutations.
         """
         elements = _edge_permutation_image(self)
-        order = len(elements)
-        has_odd = any(perm_sign(p) == -1 for p in elements)
-        generators = _greedy_generators(elements)
         return EdgeAutomorphismGroup(
-            generators=generators, order=order, has_odd_element=has_odd
+            order=len(elements),
+            has_odd_element=any(perm_sign(p) == -1 for p in elements),
         )
 
     # -- serialization ------------------------------------------------------------
@@ -298,7 +272,6 @@ class GraphIsoCertificate:
 class EdgeAutomorphismGroup:
     """Edge permutations induced by automorphisms of (G, m, w)."""
 
-    generators: tuple[tuple[int, ...], ...]
     order: int
     has_odd_element: bool
 
@@ -312,9 +285,46 @@ class EdgeAutomorphismGroup:
 # ---------------------------------------------------------------------------
 
 
-def _relabeled_pair(edge: Edge, pos) -> Edge:
-    a, b = pos[edge[0]], pos[edge[1]]
-    return (a, b) if a <= b else (b, a)
+def _contract_raw(weights, edges, markings, edge_index):
+    """The raw triple of WeightedMarkedGraph.contract, without validation."""
+    u, v = edges[edge_index]
+    rest = edges[:edge_index] + edges[edge_index + 1:]
+    if u == v:
+        return weights[:u] + (weights[u] + 1,) + weights[u + 1:], rest, markings
+    # merge v into u; vertices above v shift down
+    remap = [x - 1 if x > v else (u if x == v else x) for x in range(len(weights))]
+    merged = list(weights[:v] + weights[v + 1:])
+    merged[remap[u]] += weights[v]
+    return (
+        tuple(merged),
+        tuple(
+            (remap[a], remap[b]) if remap[a] <= remap[b] else (remap[b], remap[a])
+            for a, b in rest
+        ),
+        tuple(remap[m] for m in markings),
+    )
+
+
+def _positions(order) -> tuple[int, ...]:
+    """Inverse of a vertex order: old vertex -> canonical vertex."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return tuple(pos)
+
+
+def _edge_relabeling(edges, order) -> tuple[int, ...]:
+    """Old edge index -> canonical edge index under a canonical vertex order:
+    sort the relabeled pairs, breaking ties by original index."""
+    pos = _positions(order)
+    tagged = sorted(
+        ((pos[a], pos[b]) if pos[a] <= pos[b] else (pos[b], pos[a]), idx)
+        for idx, (a, b) in enumerate(edges)
+    )
+    relabeling = [0] * len(edges)
+    for new_idx, (_, old_idx) in enumerate(tagged):
+        relabeling[old_idx] = new_idx
+    return tuple(relabeling)
 
 
 def _adjacency(nv: int, edges) -> list[list[int]]:
@@ -411,11 +421,6 @@ def _canonical_raw(weights, edges, markings):
     return best[0], tuple(best[1])
 
 
-@lru_cache(maxsize=1 << 18)
-def _canonical_data(g: WeightedMarkedGraph):
-    return _canonical_raw(g.weights, g.edges, g.markings)
-
-
 # ---------------------------------------------------------------------------
 # automorphism machinery
 # ---------------------------------------------------------------------------
@@ -475,39 +480,3 @@ def _edge_permutation_image(g: WeightedMarkedGraph) -> frozenset:
                     phi[src] = dst
             elements.add(tuple(phi))
     return frozenset(elements)
-
-
-def _compose(p, q):
-    return tuple(p[x] for x in q)
-
-
-def _closure(generators, identity):
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for gen in generators:
-                b = _compose(gen, a)
-                if b not in group:
-                    group.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return group
-
-
-def _greedy_generators(elements: frozenset) -> tuple:
-    if not elements:
-        return ()
-    k = len(next(iter(elements)))
-    identity = tuple(range(k))
-    generators: list = []
-    generated = {identity}
-    for p in sorted(elements):
-        if p in generated:
-            continue
-        generators.append(p)
-        generated = _closure(generators, identity)
-        if len(generated) == len(elements):
-            break
-    return tuple(generators)

@@ -12,6 +12,8 @@ alternating sum over i of its contraction at e_i, rewritten to the canonical
 representative with the sign of the comparison permutation; summands landing
 on killed cells are dropped.  Degree -1 holds the augmentation: contracting
 the single edge of a 0-cell lands on the edgeless type with coefficient +1.
+Those incidence signs come with the link's faces, so assembling the matrices
+canonicalizes nothing.
 
 All ranks are computed by exact integer elimination; no floating point
 arithmetic appears anywhere in this module.
@@ -25,8 +27,6 @@ from math import gcd
 from .complexes import LinkComplex, link_cells
 from .enumeration import max_edges, require_stable_range
 from .errors import InternalConsistencyError, ResourceBoundExceeded
-from .graphs import perm_sign
-from .parallel import parallel_map
 
 #: Generator cap used when none is given.  (1, 6) needs 14307 generators and
 #: (2, 4) needs 2915, both comfortably under the cap; (2, 5) needs 38365 and
@@ -86,40 +86,39 @@ class HomologyProfile:
     def top_degree(self) -> int:
         return len(self.reduced_betti) - 2
 
+    def top_weight(self) -> dict[int, int]:
+        """Top-weight cohomology ranks of the moduli space of curves.
 
-def build_chain_complex(link: LinkComplex, threads: int = 1) -> ChainComplex:
+        With d = 3g - 3 + n, the rank in cohomological degree k equals the
+        reduced Betti number of the link in degree 2d - k - 1; the map covers
+        every degree that can carry top weight, k = d .. 2d.
+        """
+        d = max_edges(self.g, self.n)
+        return {k: self.betti(2 * d - k - 1) for k in range(d, 2 * d + 1)}
+
+
+def build_chain_complex(link: LinkComplex) -> ChainComplex:
     """Assemble boundary matrices and verify d(d(x)) = 0 in every degree."""
-    survives = [not c.edge_group.has_odd_element for c in link.cells]
     top = max((c.dimension - 1 for c in link.cells), default=-1)
     generators: list[list[int]] = [[] for _ in range(top + 1)]
     position: dict[int, int] = {}
     for i, cone in enumerate(link.cells):
-        if survives[i]:
+        if not cone.is_odd:
             position[i] = len(generators[cone.dimension - 1])
             generators[cone.dimension - 1].append(i)
 
-    key_to_cell = {c.graph.canonical_key(): i for i, c in enumerate(link.cells)}
-
-    def column_for(cell_index: int) -> Column:
-        graph = link.cells[cell_index].graph
-        entries: dict[int, int] = {}
-        for i in range(graph.num_edges):
-            contracted = graph.contract(i)
-            if contracted.num_edges == 0:
-                # augmentation row; i == 0 and the edge relabeling is empty
-                entries[0] = entries.get(0, 0) + 1
-                continue
-            target = key_to_cell[contracted.canonical_key()]
-            if not survives[target]:
-                continue
-            relab = contracted.canonical_certificate().edge_relabeling
-            sign = perm_sign(relab) * (-1) ** i
-            row = position[target]
+    columns: dict[int, dict[int, int]] = {i: {} for i in position}
+    rows = {**position, -1: 0}  # the cone point is the augmentation row
+    for (cell, face, _), sign in zip(link.faces, link.signs):
+        entries = columns.get(cell)
+        row = rows.get(face)
+        if entries is not None and row is not None:
             entries[row] = entries.get(row, 0) + sign
-        return tuple(sorted((r, c) for r, c in entries.items() if c != 0))
-
     boundaries = tuple(
-        tuple(parallel_map(column_for, gens, threads=threads))
+        tuple(
+            tuple(sorted((r, c) for r, c in columns[i].items() if c != 0))
+            for i in gens
+        )
         for gens in generators
     )
     complex_ = ChainComplex(
@@ -212,13 +211,12 @@ def reduced_homology(
     """Exact reduced rational Betti numbers of the link of (g, n)."""
     require_stable_range(g, n)
     link = link_cells(g, n, threads=threads)
-    chain = chain_complex_within_bounds(link, threads=threads, max_generators=max_generators)
+    chain = chain_complex_within_bounds(link, max_generators=max_generators)
     return homology_of_chain(chain)
 
 
 def chain_complex_within_bounds(
     link: LinkComplex,
-    threads: int = 1,
     max_generators: int | None = DEFAULT_MAX_GENERATORS,
 ) -> ChainComplex:
     """Build the chain complex unless the generator cap would be exceeded."""
@@ -232,14 +230,14 @@ def chain_complex_within_bounds(
                 f"{list(sizes)}",
                 chain_ranks=sizes,
             )
-    return build_chain_complex(link, threads=threads)
+    return build_chain_complex(link)
 
 
 def _surviving_sizes(link: LinkComplex) -> tuple[int, ...]:
     top = max((c.dimension - 1 for c in link.cells), default=-1)
     sizes = [0] * (top + 1)
     for cone in link.cells:
-        if not cone.edge_group.has_odd_element:
+        if not cone.is_odd:
             sizes[cone.dimension - 1] += 1
     return tuple(sizes)
 
@@ -300,12 +298,7 @@ def top_weight_cohomology(
     threads: int = 1,
     max_generators: int | None = DEFAULT_MAX_GENERATORS,
 ) -> dict[int, int]:
-    """Top-weight cohomology ranks of the moduli space of curves.
-
-    With d = 3g - 3 + n, the rank in cohomological degree k equals the
-    reduced Betti number of the link in degree 2d - k - 1; the returned map
-    covers every degree that can carry top weight, k = d .. 2d.
-    """
+    """Top-weight cohomology ranks of the moduli space of curves; see
+    HomologyProfile.top_weight."""
     profile = reduced_homology(g, n, threads=threads, max_generators=max_generators)
-    d = max_edges(g, n)
-    return {k: profile.betti(2 * d - k - 1) for k in range(d, 2 * d + 1)}
+    return profile.top_weight()

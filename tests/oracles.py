@@ -10,6 +10,11 @@ between the two routes is meaningful:
 * exhaustive edge-permutation search over all vertex bijections and all
   matchings of parallel edges.
 
+One reference route does use the package's graphs: boundary columns computed
+cell by cell, as the package once assembled them (contract an edge,
+canonicalize the result with a certificate, take the sign of its edge
+relabeling), to check the contraction table that replaced that route.
+
 Graphs are plain tuples (weights, edges, markings) in the same convention
 as the package: edges are sorted pairs, markings map label k to a vertex.
 """
@@ -188,3 +193,46 @@ def exhaustive_edge_permutations(weights, edges, markings):
                     phi[src] = dst
             result.add(tuple(phi))
     return result
+
+
+def reference_boundary_columns(link):
+    """Generators and boundary columns of a link's chain complex, per cell.
+
+    A cell survives when its full edge group has no odd element.  Column i of
+    a surviving cell gets perm_sign(edge relabeling) * (-1)**i on the row of
+    the canonical representative of its contraction at edge i; contractions
+    onto the edgeless type land on the augmentation row 0.  Returns the pair
+    (generators_by_degree, boundaries) in build_chain_complex's layout.
+    """
+    from tropmoduli.graphs import perm_sign
+
+    survives = [not c.graph.automorphisms().has_odd_element for c in link.cells]
+    top = max((c.dimension - 1 for c in link.cells), default=-1)
+    generators = [[] for _ in range(top + 1)]
+    position = {}
+    for i, cone in enumerate(link.cells):
+        if survives[i]:
+            position[i] = len(generators[cone.dimension - 1])
+            generators[cone.dimension - 1].append(i)
+    key_to_cell = {c.graph.canonical_key(): i for i, c in enumerate(link.cells)}
+
+    def column_for(cell_index):
+        graph = link.cells[cell_index].graph
+        entries = {}
+        for i in range(graph.num_edges):
+            contracted = graph.contract(i)
+            if contracted.num_edges == 0:
+                entries[0] = entries.get(0, 0) + 1
+                continue
+            target = key_to_cell[contracted.canonical_key()]
+            if not survives[target]:
+                continue
+            relab = contracted.canonical_certificate().edge_relabeling
+            row = position[target]
+            entries[row] = entries.get(row, 0) + perm_sign(relab) * (-1) ** i
+        return tuple(sorted((r, c) for r, c in entries.items() if c != 0))
+
+    return (
+        tuple(tuple(gens) for gens in generators),
+        tuple(tuple(column_for(i) for i in gens) for gens in generators),
+    )

@@ -117,6 +117,18 @@ class TestHomologyCommand:
         assert code == 1
         assert "generators" in err
 
+    def test_negative_cap_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "homology",
+            "--genus", "1", "--markings", "3",
+            "--max-generators", "-5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--max-generators: expected a nonnegative integer, got '-5'" in err
+        assert "over the cap" not in err
+
     def test_uncapped(self, capsys):
         code, out, _ = run(
             capsys,
@@ -297,6 +309,20 @@ class TestDeterminism:
             )
             outputs.add(out)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize(
+        "name,value,expected",
+        [
+            ("THREADS", "abc", "expected an integer, got 'abc'"),
+            ("MAX_GENERATORS", "x", "expected an integer, got 'x'"),
+        ],
+    )
+    def test_malformed_env_var_is_usage_error(self, capsys, monkeypatch, name, value, expected):
+        monkeypatch.setenv(f"TROPMODULI_{name}", value)
+        code, out, err = run(capsys, "homology", "--genus", "1", "--markings", "3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: TROPMODULI_{name}: {expected}\n"
 
     def test_env_var_mirrors_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("TROPMODULI_FORMAT", "csv")

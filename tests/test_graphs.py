@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -203,7 +204,11 @@ class TestAutomorphisms:
         group = figure_eight.automorphisms()
         assert group.order == 2
         assert group.has_odd_element
-        assert (1, 0) in group.generators
+        oracle = exhaustive_edge_permutations(
+            figure_eight.weights, figure_eight.edges, figure_eight.markings
+        )
+        assert oracle == {(0, 1), (1, 0)}  # swapping the two loops
+        assert group.order == len(oracle)
 
     def test_markings_pin_vertices(self, split_marked_pair):
         group = split_marked_pair.automorphisms()
@@ -229,20 +234,12 @@ class TestAutomorphisms:
         assert group.order == 1
         assert not group.has_odd_element
 
-    def test_generators_generate_a_closed_group(self, theta):
+    def test_theta_group_is_every_edge_permutation(self, theta):
         group = theta.automorphisms()
-        closure = {tuple(range(3))}
-        frontier = list(closure)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for gen in group.generators:
-                    b = tuple(gen[x] for x in a)
-                    if b not in closure:
-                        closure.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        assert len(closure) == group.order == 6
+        oracle = exhaustive_edge_permutations(theta.weights, theta.edges, theta.markings)
+        assert oracle == set(itertools.permutations(range(3)))
+        assert group.order == len(oracle) == 6
+        assert group.has_odd_element == any(_sign(p) == -1 for p in oracle)
 
 
 def _sign(perm):

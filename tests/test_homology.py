@@ -13,6 +13,8 @@ from tropmoduli import (
 )
 from tropmoduli.homology import sparse_integer_rank
 
+from oracles import reference_boundary_columns
+
 
 def dense_rank_over_q(columns, nrows):
     """Plain Gaussian elimination over Q, as an independent rank oracle."""
@@ -99,6 +101,23 @@ class TestChainComplex:
         chain = build_chain_complex(link_cells(2, 0))
         for col in chain.boundaries[0]:
             assert col == ((0, 1),)
+
+
+class TestContractionTable:
+    @pytest.mark.parametrize("g,n", [(1, 3), (1, 4), (2, 2), (2, 3), (0, 6)])
+    def test_columns_match_per_cell_route(self, g, n):
+        link = link_cells(g, n)
+        chain = build_chain_complex(link)
+        generators, boundaries = reference_boundary_columns(link)
+        assert chain.generators_by_degree == generators
+        assert chain.boundaries == boundaries
+
+    @pytest.mark.parametrize("g,n", [(2, 3), (1, 5), (3, 0)])
+    def test_repeated_edge_parity_agrees_with_full_group(self, g, n):
+        cells = link_cells(g, n).cells
+        assert any(len(set(c.graph.edges)) < len(c.graph.edges) for c in cells)
+        for cone in cells:
+            assert cone.is_odd == cone.graph.automorphisms().has_odd_element
 
 
 class TestPublishedRanks:
