@@ -3,7 +3,8 @@
 One executable, five subcommands (enumerate, complex, homology,
 tropicalize-model, tropicalize-plane), machine-readable output.  Numbers in
 output are exact rational strings, never floats; every byte of output is a
-deterministic function of the arguments, whatever the thread count.
+deterministic function of the arguments.  --threads is accepted and ignored:
+the work is pure Python and runs serially.
 
 Exit codes: 0 success, 1 domain error (with a message on stderr), 2 usage.
 Environment variables TROPMODULI_THREADS, TROPMODULI_MAX_GENERATORS,
@@ -85,18 +86,37 @@ def _write(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _add_common(parser, formats) -> None:
+_FORMATS = {
+    "enumerate": ("json", "dot", "csv"),
+    "complex": ("json", "dot"),
+    "homology": ("json", "csv"),
+    "tropicalize-model": ("json", "dot"),
+    "tropicalize-plane": ("json",),
+}
+
+
+def _check_env_format(args) -> None:
+    """argparse checks --format but not its environment default."""
+    formats = _FORMATS[args.command]
+    if args.format not in formats:
+        raise _EnvironmentUsageError(
+            f"TROPMODULI_FORMAT: expected one of {', '.join(formats)}, "
+            f"got {args.format!r}"
+        )
+
+
+def _add_common(parser, command) -> None:
     parser.add_argument(
         "--format",
-        choices=formats,
+        choices=_FORMATS[command],
         default=_env("FORMAT", str, "json"),
         help="output format (default json; env TROPMODULI_FORMAT)",
     )
     parser.add_argument(
         "--threads",
-        type=int,
-        default=_env("THREADS", _integer, 1),
-        help="parallelism budget; output is identical for any value",
+        type=_count,
+        default=_env("THREADS", _count, 1),
+        help="accepted for compatibility and ignored: the work runs serially",
     )
     parser.add_argument(
         "--output",
@@ -120,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("--genus", type=int, required=True)
     p_enum.add_argument("--markings", type=int, required=True)
-    _add_common(p_enum, ["json", "dot", "csv"])
+    _add_common(p_enum, "enumerate")
 
     p_cx = sub.add_parser(
         "complex", help="face poset and link cells of the tropical moduli space"
     )
     p_cx.add_argument("--genus", type=int, required=True)
     p_cx.add_argument("--markings", type=int, required=True)
-    _add_common(p_cx, ["json", "dot"])
+    _add_common(p_cx, "complex")
 
     p_hom = sub.add_parser(
         "homology", help="reduced rational homology of the link"
@@ -145,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=_env("MAX_GENERATORS", _count, homology_mod.DEFAULT_MAX_GENERATORS),
         help="abort if the chain complex needs more generators (0 = no cap)",
     )
-    _add_common(p_hom, ["json", "csv"])
+    _add_common(p_hom, "homology")
 
     p_model = sub.add_parser(
         "tropicalize-model", help="dual metric graph of a stable-model description"
@@ -156,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rescale edge lengths to total volume 1",
     )
-    _add_common(p_model, ["json", "dot"])
+    _add_common(p_model, "tropicalize-model")
 
     p_plane = sub.add_parser(
         "tropicalize-plane", help="tropical plane curve of a polynomial"
@@ -169,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="SVG viewport as xmin,ymin,xmax,ymax",
     )
     p_plane.add_argument("--size", type=int, default=400, help="SVG side length")
-    _add_common(p_plane, ["json"])
+    _add_common(p_plane, "tropicalize-plane")
 
     return parser
 
@@ -303,12 +323,11 @@ _RUNNERS = {
 
 def dispatch(argv) -> int:
     try:
-        parser = build_parser()
+        args = build_parser().parse_args(argv)
+        _check_env_format(args)
     except _EnvironmentUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

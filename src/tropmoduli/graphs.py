@@ -9,7 +9,12 @@ The two nontrivial algorithms live here:
 
 * canonical labeling by color refinement plus individualization, giving a
   certificate whose encoding is equal for two graphs iff they are isomorphic
-  (weights preserved, markings matched pointwise);
+  (weights preserved, markings matched pointwise).  Vertices start colored
+  by (weight, marking set, valence, loop count).  When those start colors
+  are pairwise distinct, refinement could only keep their order, so the
+  labeling is read off by sorting them: no adjacency, refinement or
+  search.  Otherwise refinement stops as soon as a round splits no class,
+  and a partition that refinement makes discrete is encoded at once;
 * the edge-permutation image of the automorphism group, computed exactly by
   enumerating admissible vertex bijections within refinement classes and all
   compatible matchings of parallel edges.
@@ -230,7 +235,12 @@ class WeightedMarkedGraph:
             if vid in index:
                 raise GraphError(f"duplicate vertex id {vid!r}")
             index[vid] = len(weights)
-            weights.append(int(entry["weight"]))
+            weight = entry["weight"]
+            if isinstance(weight, bool) or not isinstance(weight, int):
+                raise GraphError(
+                    f"vertex {vid!r} weight must be an integer, got {weight!r}"
+                )
+            weights.append(weight)
         edges = []
         for pair in raw_edges:
             if len(pair) != 2 or pair[0] not in index or pair[1] not in index:
@@ -336,89 +346,104 @@ def _adjacency(nv: int, edges) -> list[list[int]]:
     return adj
 
 
-def _initial_keys(nv, adj, weights, edges, markings) -> list:
-    """Per-vertex start colors: (weight, marking set, valence, loop count).
-
-    Returned as comparable tuples; the first refinement round turns them
-    into integer ranks.
-    """
+def _start_colors(weights, edges, markings) -> list:
+    """Per-vertex start colors (weight, marking bitmask, valence, loop
+    count), built in one pass over the edges; a loop counts twice toward
+    valence."""
+    nv = len(weights)
     marks = [0] * nv
     for k, v in enumerate(markings):
         marks[v] |= 1 << k
+    valence = [0] * nv
     loops = [0] * nv
     for u, v in edges:
+        valence[u] += 1
+        valence[v] += 1
         if u == v:
             loops[u] += 1
-    return [(weights[v], marks[v], len(adj[v]), loops[v]) for v in range(nv)]
+    return list(zip(weights, marks, valence, loops))
 
 
-def _refine_ranks(nv, adj, colors: list) -> list[int]:
+def _dense_ranks(start: list) -> tuple[list[int], int]:
+    """Rank comparable start colors to 0..k-1; returns the ranks and k."""
+    distinct = sorted(set(start))
+    rank = {c: i for i, c in enumerate(distinct)}
+    return [rank[c] for c in start], len(distinct)
+
+
+def _refine_ranks(nv, adj, colors: list[int], count: int) -> tuple[list[int], int]:
     """Stable color refinement: split classes by the multiset of neighbor
-    colors (a loop contributes the vertex's own color twice).  Accepts any
-    comparable start colors and returns integer ranks."""
+    colors (a loop contributes the vertex's own color twice).
+
+    Takes integer colors forming count classes and returns dense ranks of
+    the stable partition with its class count.  A round sorts by the old
+    color first, so it only splits classes; once the class count stops
+    growing the ranks are fixed, and no further round is needed.
+    """
     while True:
         keys = [
             (colors[v], tuple(sorted([colors[u] for u in adj[v]])))
             for v in range(nv)
         ]
-        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new_colors = [rank[k] for k in keys]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+        distinct = sorted(set(keys))
+        rank = {k: i for i, k in enumerate(distinct)}
+        colors = [rank[k] for k in keys]
+        if len(distinct) == count:
+            return colors, count
+        count = len(distinct)
 
 
-def _encode_raw(weights, edges, markings, order):
-    pos = [0] * len(order)
-    for i, v in enumerate(order):
-        pos[v] = i
+def _encode_raw(weights, edges, markings, pos):
+    """The triple relabeled by pos (old vertex -> new vertex), edges sorted."""
+    new_weights = [0] * len(pos)
+    for v, p in enumerate(pos):
+        new_weights[p] = weights[v]
     new_edges = []
     for u, v in edges:
         a, b = pos[u], pos[v]
         new_edges.append((a, b) if a <= b else (b, a))
     new_edges.sort()
-    return (
-        tuple(weights[v] for v in order),
-        tuple(new_edges),
-        tuple(pos[m] for m in markings),
-    )
+    return tuple(new_weights), tuple(new_edges), tuple(pos[m] for m in markings)
 
 
 def _canonical_raw(weights, edges, markings):
     """Minimal encoding over all admissible labelings, via refinement plus
     individualization of the first non-singleton class.  Returns the key
-    (the canonically relabeled triple) and one vertex order realizing it."""
+    (the canonically relabeled triple) and one vertex order realizing it.
+
+    When the start colors are already pairwise distinct, refinement cannot
+    reorder them, so the order sorted by start color is the only leaf.
+    """
     nv = len(weights)
     if nv == 1:
         return (weights, tuple(sorted(edges)), markings), (0,)
+    start = _start_colors(weights, edges, markings)
+    if len(set(start)) == nv:
+        order = sorted(range(nv), key=start.__getitem__)
+        return _encode_raw(weights, edges, markings, _positions(order)), tuple(order)
     adj = _adjacency(nv, edges)
     best: list = [None, None]
 
-    def search(colors: list[int]):
-        colors = _refine_ranks(nv, adj, colors)
-        classes: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            classes.setdefault(c, []).append(v)
-        branch = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                branch = classes[c]
-                break
-        if branch is None:
-            order = sorted(range(nv), key=colors.__getitem__)
-            key = _encode_raw(weights, edges, markings, order)
+    def search(colors: list[int], count: int):
+        colors, count = _refine_ranks(nv, adj, colors, count)
+        if count == nv:  # discrete: the ranks are the positions
+            key = _encode_raw(weights, edges, markings, colors)
             if best[0] is None or key < best[0]:
                 best[0] = key
-                best[1] = order
+                best[1] = colors
             return
-        fresh = nv  # strictly larger than any refined rank
-        for v in branch:
-            child = list(colors)
-            child[v] = fresh
-            search(child)
+        sizes = [0] * count
+        for c in colors:
+            sizes[c] += 1
+        first = next(c for c in range(count) if sizes[c] > 1)
+        for v in range(nv):
+            if colors[v] == first:
+                child = list(colors)
+                child[v] = nv  # strictly larger than any refined rank
+                search(child, count + 1)
 
-    search(_initial_keys(nv, adj, weights, edges, markings))
-    return best[0], tuple(best[1])
+    search(*_dense_ranks(start))
+    return best[0], _positions(best[1])  # inverting the positions gives the order
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +455,10 @@ def _admissible_vertex_maps(g: WeightedMarkedGraph):
     """All vertex bijections preserving weights, markings pointwise, and the
     edge multiset; the search is restricted to refinement classes."""
     nv = g.num_vertices
-    adj = _adjacency(nv, g.edges)
-    colors = _refine_ranks(
-        nv, adj, _initial_keys(nv, adj, g.weights, g.edges, g.markings)
+    colors, _ = _refine_ranks(
+        nv,
+        _adjacency(nv, g.edges),
+        *_dense_ranks(_start_colors(g.weights, g.edges, g.markings)),
     )
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(colors):

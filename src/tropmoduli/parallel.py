@@ -1,18 +1,14 @@
-"""Deterministic fan-out helper.
+"""Ordered map over work items.
 
-Modules receive a parallelism budget from the CLI; results are always merged
-in input order, so output is independent of the thread count.
+Modules receive a parallelism budget from the CLI, but the work is pure
+Python, so threads only contend for the interpreter lock: a thread pool
+measured slower than one thread.  The map is therefore serial, and the
+budget is accepted and ignored; output never depends on it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 
 def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map fn over items, in order, optionally on a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """Map fn over items, in order; threads is accepted and ignored."""
+    return [fn(x) for x in items]

@@ -15,6 +15,12 @@ cell by cell, as the package once assembled them (contract an edge,
 canonicalize the result with a certificate, take the sign of its edge
 relabeling), to check the contraction table that replaced that route.
 
+One reference keeps the package's canonical labeling as it was before its
+shortcuts: tuple start colors, refinement to a fixpoint and a search that
+branches on every vertex of the first non-singleton class, at every node.
+The package must return the same key and the same vertex order, since
+boundary signs and certificate relabelings are read from the order.
+
 Graphs are plain tuples (weights, edges, markings) in the same convention
 as the package: edges are sorted pairs, markings map label k to a vertex.
 """
@@ -236,3 +242,104 @@ def reference_boundary_columns(link):
         tuple(tuple(gens) for gens in generators),
         tuple(tuple(column_for(i) for i in gens) for gens in generators),
     )
+
+
+def _reference_adjacency(nv, edges):
+    adj = [[] for _ in range(nv)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _reference_initial_keys(nv, adj, weights, edges, markings):
+    marks = [0] * nv
+    for k, v in enumerate(markings):
+        marks[v] |= 1 << k
+    loops = [0] * nv
+    for u, v in edges:
+        if u == v:
+            loops[u] += 1
+    return [(weights[v], marks[v], len(adj[v]), loops[v]) for v in range(nv)]
+
+
+def _reference_refine_ranks(nv, adj, colors):
+    while True:
+        keys = [
+            (colors[v], tuple(sorted([colors[u] for u in adj[v]])))
+            for v in range(nv)
+        ]
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new_colors = [rank[k] for k in keys]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def _reference_encode(weights, edges, markings, order):
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    new_edges = []
+    for u, v in edges:
+        a, b = pos[u], pos[v]
+        new_edges.append((a, b) if a <= b else (b, a))
+    new_edges.sort()
+    return (
+        tuple(weights[v] for v in order),
+        tuple(new_edges),
+        tuple(pos[m] for m in markings),
+    )
+
+
+def reference_canonical_raw(weights, edges, markings):
+    """(key, vertex order) of the full refinement-and-search labeling.
+
+    The key is the minimal encoding over the leaves of the search; the order
+    is the first leaf that reaches it.
+    """
+    nv = len(weights)
+    if nv == 1:
+        return (weights, tuple(sorted(edges)), markings), (0,)
+    adj = _reference_adjacency(nv, edges)
+    best = [None, None]
+
+    def search(colors):
+        colors = _reference_refine_ranks(nv, adj, colors)
+        classes = {}
+        for v, c in enumerate(colors):
+            classes.setdefault(c, []).append(v)
+        branch = None
+        for c in sorted(classes):
+            if len(classes[c]) > 1:
+                branch = classes[c]
+                break
+        if branch is None:
+            order = sorted(range(nv), key=colors.__getitem__)
+            key = _reference_encode(weights, edges, markings, order)
+            if best[0] is None or key < best[0]:
+                best[0] = key
+                best[1] = order
+            return
+        fresh = nv
+        for v in branch:
+            child = list(colors)
+            child[v] = fresh
+            search(child)
+
+    search(_reference_initial_keys(nv, adj, weights, edges, markings))
+    return best[0], tuple(best[1])
+
+
+def reference_search_kind(weights, edges, markings):
+    """Which route the labeling of a graph takes: "start" when the start
+    colors are already distinct, "refined" when refinement alone makes them
+    distinct, "search" when the search has to branch."""
+    nv = len(weights)
+    adj = _reference_adjacency(nv, edges)
+    colors = _reference_initial_keys(nv, adj, weights, edges, markings)
+    if len(set(colors)) == nv:
+        return "start"
+    if len(set(_reference_refine_ranks(nv, adj, colors))) == nv:
+        return "refined"
+    return "search"

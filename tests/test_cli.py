@@ -129,6 +129,17 @@ class TestHomologyCommand:
         assert "--max-generators: expected a nonnegative integer, got '-5'" in err
         assert "over the cap" not in err
 
+    def test_negative_threads_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "homology",
+            "--genus", "1", "--markings", "3",
+            "--threads", "-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--threads: expected a nonnegative integer, got '-3'" in err
+
     def test_uncapped(self, capsys):
         code, out, _ = run(
             capsys,
@@ -315,6 +326,7 @@ class TestDeterminism:
         [
             ("THREADS", "abc", "expected an integer, got 'abc'"),
             ("MAX_GENERATORS", "x", "expected an integer, got 'x'"),
+            ("THREADS", "-3", "expected a nonnegative integer, got '-3'"),
         ],
     )
     def test_malformed_env_var_is_usage_error(self, capsys, monkeypatch, name, value, expected):
@@ -323,6 +335,17 @@ class TestDeterminism:
         assert code == 2
         assert out == ""
         assert err == f"error: TROPMODULI_{name}: {expected}\n"
+
+    @pytest.mark.parametrize(
+        "command,formats",
+        [("enumerate", "json, dot, csv"), ("homology", "json, csv")],
+    )
+    def test_unknown_env_format_is_usage_error(self, capsys, monkeypatch, command, formats):
+        monkeypatch.setenv("TROPMODULI_FORMAT", "xml")
+        code, out, err = run(capsys, command, "--genus", "1", "--markings", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: TROPMODULI_FORMAT: expected one of {formats}, got 'xml'\n"
 
     def test_env_var_mirrors_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("TROPMODULI_FORMAT", "csv")

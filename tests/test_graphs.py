@@ -1,13 +1,22 @@
+import functools
 import itertools
 import json
 import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmoduli import GraphError, WeightedMarkedGraph, enumerate_types
+from tropmoduli.enumeration import _expand_raw
+from tropmoduli.graphs import _canonical_raw, _contract_raw
 
-from oracles import exhaustive_edge_permutations
+from oracles import (
+    exhaustive_edge_permutations,
+    reference_canonical_raw,
+    reference_search_kind,
+)
 
 
 def relabel(graph, rng):
@@ -152,6 +161,58 @@ class TestCanonicalForm:
         assert sorted(cert.edge_relabeling) == list(range(3))
 
 
+class TestCanonicalOracle:
+    """The labeling's shortcuts return the full search's key and vertex
+    order; boundary signs and certificate relabelings read the order."""
+
+    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (2, 3), (3, 0), (4, 1)])
+    def test_key_and_order_match_full_search(self, g, n):
+        kinds = set()
+        for graph in enumerate_types(g, n).strata:
+            triple = (graph.weights, graph.edges, graph.markings)
+            candidates = _expand_raw(*triple) + [
+                _contract_raw(*triple, i) for i in range(graph.num_edges)
+            ]
+            for cand in candidates:
+                assert _canonical_raw(*cand) == reference_canonical_raw(*cand), cand
+                if len(cand[0]) > 1:
+                    kinds.add(reference_search_kind(*cand))
+        assert "start" in kinds
+        if (g, n) == (4, 1):
+            assert kinds == {"start", "refined", "search"}
+
+
+@functools.cache
+def _strata(g, n):
+    return enumerate_types(g, n).strata
+
+
+@st.composite
+def relabeled_types(draw):
+    """A catalog type and a copy with vertices and edge order permuted."""
+    g, n = draw(st.sampled_from([(2, 3), (1, 4), (3, 0)]))
+    graph = draw(st.sampled_from(_strata(g, n)))
+    sigma = draw(st.permutations(range(graph.num_vertices)))
+    edges = [tuple(sorted((sigma[u], sigma[v]))) for u, v in graph.edges]
+    edges = draw(st.permutations(edges))
+    weights = [0] * graph.num_vertices
+    for v, w in enumerate(graph.weights):
+        weights[sigma[v]] = w
+    markings = tuple(sigma[m] for m in graph.markings)
+    return graph, WeightedMarkedGraph(tuple(weights), tuple(edges), markings)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(relabeled_types())
+def test_relabeling_keeps_key_and_encoding(pair):
+    graph, copy = pair
+    assert copy.canonical_key() == graph.canonical_key()
+    assert (
+        copy.canonical_certificate().encoding
+        == graph.canonical_certificate().encoding
+    )
+
+
 def random_graph(rng):
     """Random small connected multigraph, stable or not."""
     while True:
@@ -288,6 +349,13 @@ class TestSerialization:
         with pytest.raises(GraphError):
             WeightedMarkedGraph.from_json_dict(
                 {"vertices": [{"id": 0, "weight": 0}], "edges": [[0, 1]], "markings": []}
+            )
+
+    @pytest.mark.parametrize("weight", [1.5, True, "2"])
+    def test_json_weight_must_be_integer(self, weight):
+        with pytest.raises(GraphError, match="weight must be an integer"):
+            WeightedMarkedGraph.from_json_dict(
+                {"vertices": [{"id": 0, "weight": weight}], "edges": [], "markings": [0, 0, 0]}
             )
 
     def test_dot_output(self, split_marked_pair):
