@@ -75,17 +75,6 @@ class FacePoset:
     covers: tuple[tuple[int, int, int], ...]
     signs: tuple[int, ...]
 
-    def relations(self):
-        """All (parent, child, witness edge set) triples, witnesses separate."""
-        index = {t.canonical_key(): i for i, t in enumerate(self.types)}
-        for i, t in enumerate(self.types):
-            for mask in range(1, 1 << t.num_edges):
-                subset = frozenset(
-                    e for e in range(t.num_edges) if mask >> e & 1
-                )
-                child = t.contract_set(subset).canonical_key()
-                yield (i, index[child], subset)
-
     def maximal_types(self) -> tuple[int, ...]:
         contracted_from = {child for _, child, _ in self.covers}
         return tuple(
@@ -111,11 +100,6 @@ class LinkComplex:
 
     def dimension(self) -> int:
         return max((c.dimension - 1 for c in self.cells), default=-1)
-
-    def cells_of_dimension(self, p: int) -> tuple[int, ...]:
-        return tuple(
-            i for i, c in enumerate(self.cells) if c.dimension - 1 == p
-        )
 
 
 def build_poset(g: int, n: int, threads: int = 1, catalog: TypeCatalog | None = None) -> FacePoset:

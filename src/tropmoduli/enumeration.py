@@ -137,13 +137,6 @@ def _expand_raw(weights, edges, markings):
     return out
 
 
-def expansions(g: WeightedMarkedGraph) -> list[WeightedMarkedGraph]:
-    """All stable types with one more edge contracting back onto g."""
-    return [
-        WeightedMarkedGraph(*t) for t in _expand_raw(g.weights, g.edges, g.markings)
-    ]
-
-
 def has_expansion(g: WeightedMarkedGraph) -> bool:
     """Whether any stable one-edge expansion exists (g is not maximal)."""
     if any(w >= 1 for w in g.weights):

@@ -15,9 +15,10 @@ The two nontrivial algorithms live here:
   labeling is read off by sorting them: no adjacency, refinement or
   search.  Otherwise refinement stops as soon as a round splits no class,
   and a partition that refinement makes discrete is encoded at once;
-* the edge-permutation image of the automorphism group, computed exactly by
-  enumerating admissible vertex bijections within refinement classes and all
-  compatible matchings of parallel edges.
+* the edge-permutation image of the automorphism group, computed exactly
+  from the same search: the vertex automorphisms are the relabelings
+  between its minimal leaves, each combined with all compatible matchings
+  of parallel edges.
 
 Loops deserve care throughout: a loop counts twice toward valence, a loop
 flip is an automorphism whose induced edge permutation is the identity, and
@@ -27,12 +28,17 @@ contracting a loop raises the base vertex's weight by one.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import GraphError
+from .rationals import is_integer
 
 Edge = tuple[int, int]
+
+
+def _is_id(value) -> bool:
+    """Whether a JSON vertex or component id is an int (not a bool) or a str."""
+    return is_integer(value) or isinstance(value, str)
 
 
 def perm_sign(perm) -> int:
@@ -130,16 +136,10 @@ class WeightedMarkedGraph:
 
     def is_stable(self) -> bool:
         """2w(v) - 2 + val(v) + #marks(v) > 0 at every vertex."""
-        val = self.valences()
-        nmarks = [0] * len(self.weights)
-        for v in self.markings:
-            nmarks[v] += 1
-        return all(
-            2 * self.weights[v] - 2 + val[v] + nmarks[v] > 0
-            for v in range(len(self.weights))
-        )
+        return not self.unstable_vertices()
 
     def unstable_vertices(self) -> tuple[int, ...]:
+        """Vertices violating 2w(v) - 2 + val(v) + #marks(v) > 0."""
         val = self.valences()
         nmarks = [0] * len(self.weights)
         for v in self.markings:
@@ -164,13 +164,6 @@ class WeightedMarkedGraph:
         return WeightedMarkedGraph(
             *_contract_raw(self.weights, self.edges, self.markings, edge_index)
         )
-
-    def contract_set(self, edge_indices) -> "WeightedMarkedGraph":
-        """Contract a set of edges (order does not matter up to isomorphism)."""
-        g = self
-        for i in sorted(set(edge_indices), reverse=True):
-            g = g.contract(i)
-        return g
 
     # -- canonical form -------------------------------------------------------
 
@@ -198,10 +191,12 @@ class WeightedMarkedGraph:
         """Image of the automorphism group in the symmetric group on edges.
 
         Automorphisms preserve weights and fix every marking pointwise.  The
-        image is computed exactly: every admissible vertex bijection is
-        combined with every matching of parallel edge classes, and the
-        resulting edge permutations are collected.  Loop flips induce the
-        identity and hence never appear as nontrivial permutations.
+        image is computed exactly: the vertex automorphisms are the
+        relabelings between the minimal leaves of the canonical labeling
+        search, each is combined with every matching of parallel edge
+        classes, and the resulting edge permutations are collected.  Loop
+        flips induce the identity and hence never appear as nontrivial
+        permutations.
         """
         elements = _edge_permutation_image(self)
         return EdgeAutomorphismGroup(
@@ -228,28 +223,39 @@ class WeightedMarkedGraph:
             raw_markings = data["markings"]
         except (KeyError, TypeError) as exc:
             raise GraphError(f"graph JSON missing field: {exc}") from exc
+        if not all(isinstance(x, (list, tuple)) for x in (vertices, raw_edges, raw_markings)):
+            raise GraphError("graph JSON vertices, edges and markings must be lists")
         index = {}
         weights = []
         for entry in vertices:
-            vid = entry["id"]
+            if not isinstance(entry, dict) or not {"id", "weight"} <= entry.keys():
+                raise GraphError(f"vertex entry {entry!r} needs an id and a weight")
+            vid, weight = entry["id"], entry["weight"]
+            if not _is_id(vid):
+                raise GraphError(f"vertex id must be an integer or a string, got {vid!r}")
             if vid in index:
                 raise GraphError(f"duplicate vertex id {vid!r}")
-            index[vid] = len(weights)
-            weight = entry["weight"]
-            if isinstance(weight, bool) or not isinstance(weight, int):
+            if not is_integer(weight):
                 raise GraphError(
                     f"vertex {vid!r} weight must be an integer, got {weight!r}"
                 )
+            index[vid] = len(weights)
             weights.append(weight)
+
+        def known(vid) -> bool:
+            return _is_id(vid) and vid in index
+
         edges = []
         for pair in raw_edges:
-            if len(pair) != 2 or pair[0] not in index or pair[1] not in index:
-                raise GraphError(f"edge {pair!r} references unknown vertex")
+            if not (
+                isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(known, pair))
+            ):
+                raise GraphError(f"edge {pair!r} is not a pair of known vertex ids")
             a, b = index[pair[0]], index[pair[1]]
             edges.append((min(a, b), max(a, b)))
         markings = []
         for vid in raw_markings:
-            if vid not in index:
+            if not known(vid):
                 raise GraphError(f"marking references unknown vertex {vid!r}")
             markings.append(index[vid])
         return cls(tuple(weights), tuple(edges), tuple(markings))
@@ -406,6 +412,45 @@ def _encode_raw(weights, edges, markings, pos):
     return tuple(new_weights), tuple(new_edges), tuple(pos[m] for m in markings)
 
 
+def _search(weights, edges, markings, start):
+    """Refinement plus individualization of every vertex of the first
+    non-singleton class, at every node.  Returns the minimal encoding and
+    the positions (old vertex -> new vertex) of every leaf reaching it, in
+    search order.  Automorphisms permute the leaves, and two minimal leaves
+    differ by exactly one automorphism; so the leaves give the whole group
+    only while the tree stays unpruned.  A pruned search must collect
+    automorphism generators instead.
+    """
+    nv = len(weights)
+    adj = _adjacency(nv, edges)
+    best = None
+    leaves: list = []
+
+    def visit(colors: list[int], count: int):
+        nonlocal best
+        colors, count = _refine_ranks(nv, adj, colors, count)
+        if count == nv:  # discrete: the ranks are the positions
+            key = _encode_raw(weights, edges, markings, colors)
+            if best is None or key < best:
+                best = key
+                leaves.clear()
+            if key == best:
+                leaves.append(colors)
+            return
+        sizes = [0] * count
+        for c in colors:
+            sizes[c] += 1
+        first = next(c for c in range(count) if sizes[c] > 1)
+        for v in range(nv):
+            if colors[v] == first:
+                child = list(colors)
+                child[v] = nv  # strictly larger than any refined rank
+                visit(child, count + 1)
+
+    visit(*_dense_ranks(start))
+    return best, leaves
+
+
 def _canonical_raw(weights, edges, markings):
     """Minimal encoding over all admissible labelings, via refinement plus
     individualization of the first non-singleton class.  Returns the key
@@ -421,29 +466,8 @@ def _canonical_raw(weights, edges, markings):
     if len(set(start)) == nv:
         order = sorted(range(nv), key=start.__getitem__)
         return _encode_raw(weights, edges, markings, _positions(order)), tuple(order)
-    adj = _adjacency(nv, edges)
-    best: list = [None, None]
-
-    def search(colors: list[int], count: int):
-        colors, count = _refine_ranks(nv, adj, colors, count)
-        if count == nv:  # discrete: the ranks are the positions
-            key = _encode_raw(weights, edges, markings, colors)
-            if best[0] is None or key < best[0]:
-                best[0] = key
-                best[1] = colors
-            return
-        sizes = [0] * count
-        for c in colors:
-            sizes[c] += 1
-        first = next(c for c in range(count) if sizes[c] > 1)
-        for v in range(nv):
-            if colors[v] == first:
-                child = list(colors)
-                child[v] = nv  # strictly larger than any refined rank
-                search(child, count + 1)
-
-    search(*_dense_ranks(start))
-    return best[0], _positions(best[1])  # inverting the positions gives the order
+    key, leaves = _search(weights, edges, markings, start)
+    return key, _positions(leaves[0])  # inverting the positions gives the order
 
 
 # ---------------------------------------------------------------------------
@@ -451,37 +475,17 @@ def _canonical_raw(weights, edges, markings):
 # ---------------------------------------------------------------------------
 
 
-def _admissible_vertex_maps(g: WeightedMarkedGraph):
+def _vertex_automorphisms(g: WeightedMarkedGraph):
     """All vertex bijections preserving weights, markings pointwise, and the
-    edge multiset; the search is restricted to refinement classes."""
-    nv = g.num_vertices
-    colors, _ = _refine_ranks(
-        nv,
-        _adjacency(nv, g.edges),
-        *_dense_ranks(_start_colors(g.weights, g.edges, g.markings)),
-    )
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    class_list = [classes[c] for c in sorted(classes)]
-    edge_counter = Counter(g.edges)
-    maps = []
-    for images in itertools.product(
-        *[itertools.permutations(cls) for cls in class_list]
-    ):
-        sigma = [0] * g.num_vertices
-        for cls, img in zip(class_list, images):
-            for v, w in zip(cls, img):
-                sigma[v] = w
-        if any(sigma[m] != m for m in g.markings):
-            continue
-        mapped = Counter(
-            (sigma[u], sigma[v]) if sigma[u] <= sigma[v] else (sigma[v], sigma[u])
-            for u, v in g.edges
-        )
-        if mapped == edge_counter:
-            maps.append(tuple(sigma))
-    return maps
+    edge multiset: the relabelings between the minimal leaves of the
+    labeling search.  Start colors are invariants, so when they are pairwise
+    distinct the identity is the only one."""
+    start = _start_colors(g.weights, g.edges, g.markings)
+    if len(set(start)) == len(start):
+        return [tuple(range(len(start)))]
+    _, leaves = _search(g.weights, g.edges, g.markings, start)
+    back = _positions(leaves[0])
+    return [tuple(back[p] for p in leaf) for leaf in leaves]
 
 
 def _edge_permutation_image(g: WeightedMarkedGraph) -> frozenset:
@@ -491,7 +495,7 @@ def _edge_permutation_image(g: WeightedMarkedGraph) -> frozenset:
         by_pair.setdefault(e, []).append(idx)
     pairs = sorted(by_pair)
     elements = set()
-    for sigma in _admissible_vertex_maps(g):
+    for sigma in _vertex_automorphisms(g):
         target_lists = []
         for pair in pairs:
             u, v = sigma[pair[0]], sigma[pair[1]]

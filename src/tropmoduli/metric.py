@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExtendedCurveError, GraphError, MalformedModelError, RejectedModelError
-from .graphs import WeightedMarkedGraph
-from .rationals import INF, Infinity, format_rational, parse_length
+from .graphs import WeightedMarkedGraph, _is_id
+from .rationals import INF, Infinity, format_rational, is_integer, parse_length
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,22 @@ class StableModelDescription:
 
     def __post_init__(self):
         ids = [cid for cid, _ in self.components]
+        ends = [end for a, b, _ in self.nodes for end in (a, b)]
+        for cid in ids + ends + list(self.markings):
+            if not _is_id(cid):
+                raise MalformedModelError(
+                    f"component id must be an integer or a string, got {cid!r}"
+                )
         if len(set(ids)) != len(ids):
             raise MalformedModelError("duplicate component ids")
         if not ids:
             raise MalformedModelError("model needs at least one component")
         known = set(ids)
         for cid, genus in self.components:
-            if genus < 0:
-                raise MalformedModelError(f"component {cid!r} has negative genus")
+            if not is_integer(genus) or genus < 0:
+                raise MalformedModelError(
+                    f"component {cid!r} genus must be a nonnegative integer, got {genus!r}"
+                )
         for a, b, length in self.nodes:
             if a not in known or b not in known:
                 raise MalformedModelError(f"node ({a!r}, {b!r}) references unknown component")
@@ -52,16 +60,18 @@ class StableModelDescription:
     def from_json_dict(cls, data: dict) -> "StableModelDescription":
         try:
             components = tuple(
-                (entry["id"], int(entry["genus"])) for entry in data["components"]
+                (entry["id"], entry["genus"]) for entry in data["components"]
             )
             nodes = tuple(
                 (entry["a"], entry["b"], parse_length(entry["length"]))
                 for entry in data["nodes"]
             )
-            markings = tuple(data["markings"])
+            markings = data["markings"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedModelError(f"bad model JSON: {exc}") from exc
-        return cls(components=components, nodes=nodes, markings=markings)
+        if not isinstance(markings, list):
+            raise MalformedModelError(f"model markings must be a list, got {markings!r}")
+        return cls(components=components, nodes=nodes, markings=tuple(markings))
 
 
 @dataclass(frozen=True)

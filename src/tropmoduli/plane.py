@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import GraphError, InternalConsistencyError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, is_integer, parse_rational
 
 Point = tuple[Fraction, Fraction]
 ExponentPair = tuple[int, int]
@@ -45,10 +45,15 @@ class TropicalPolynomial:
 
     @classmethod
     def from_terms(cls, items) -> "TropicalPolynomial":
-        cleaned = sorted(
-            ((int(i), int(j)), parse_rational(v)) for (i, j), v in items
-        )
-        return cls(terms=tuple(cleaned))
+        cleaned = []
+        for (i, j), v in items:
+            if not (is_integer(i) and is_integer(j)):
+                raise GraphError(f"exponents must be integers, got ({i!r}, {j!r})")
+            try:
+                cleaned.append(((i, j), parse_rational(v)))
+            except ValueError as exc:
+                raise GraphError(f"term ({i}, {j}): {exc}") from exc
+        return cls(terms=tuple(sorted(cleaned)))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TropicalPolynomial":

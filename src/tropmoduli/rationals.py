@@ -36,6 +36,11 @@ class Infinity:
 INF = Infinity()
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int and not a bool (JSON true loads as True)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from an int or a string.
 
@@ -43,9 +48,7 @@ def parse_rational(value) -> Fraction:
     monomials in a uniformizer, "t^5" or "t^(5/2)" (meaning 5 and 5/2).
     Floats are rejected: they cannot represent the intended value exactly.
     """
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    if is_integer(value):
         return Fraction(value)
     if isinstance(value, Fraction):
         return value

@@ -199,6 +199,23 @@ class TestTropicalizeModelCommand:
         assert code == 1
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"components": [{"id": 0, "genus": 1.5}], "nodes": [], "markings": [0]},
+            {"components": [{"id": [0], "genus": 1}], "nodes": [], "markings": []},
+            {"components": [{"id": "a", "genus": 0}], "nodes": [], "markings": "aaa"},
+        ],
+        ids=["float-genus", "list-id", "markings-string"],
+    )
+    def test_malformed_model_is_domain_error(self, capsys, tmp_path, model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run(capsys, "tropicalize-model", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unstable_model(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -247,6 +264,23 @@ class TestTropicalizePlaneCommand:
         )
         assert code == 0
         assert svg_path.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"i": 1.5, "j": 0, "val": "0"},
+            {"i": 1, "j": 0, "val": "abc"},
+            {"i": 1, "j": 0, "val": 0.5},
+        ],
+        ids=["float-exponent", "text-value", "float-value"],
+    )
+    def test_malformed_term_is_domain_error(self, capsys, tmp_path, term):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"terms": [term, {"i": 0, "j": 0, "val": "0"}]}))
+        code, out, err = run(capsys, "tropicalize-plane", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_viewport(self, capsys, poly_file, tmp_path):
         code, _, err = run(

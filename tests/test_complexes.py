@@ -56,14 +56,6 @@ class TestFacePoset:
                     changed = True
         assert reachable == set(range(len(poset.types)))
 
-    def test_relations_witnesses(self):
-        poset = build_poset(1, 2)
-        index = {t.canonical_key(): i for i, t in enumerate(poset.types)}
-        for parent, child, witness in poset.relations():
-            contracted = poset.types[parent].contract_set(witness)
-            assert index[contracted.canonical_key()] == child
-            assert poset.types[parent].num_edges - len(witness) == poset.types[child].num_edges
-
 
 class TestLinkComplex:
     def test_one_cell_for_genus_one_one_mark(self):

@@ -277,10 +277,9 @@ class TestAutomorphisms:
         assert not group.has_odd_element
 
     def test_agreement_with_exhaustive_search(self):
-        for g, n in [(2, 0), (1, 2), (2, 1), (1, 3), (2, 2)]:
+        cases = [(2, 0), (1, 2), (2, 1), (1, 3), (2, 2), (3, 0), (4, 0), (3, 1), (3, 2)]
+        for g, n in cases:
             for graph in enumerate_types(g, n).strata:
-                if graph.num_edges > 6:
-                    continue
                 oracle = exhaustive_edge_permutations(
                     graph.weights, graph.edges, graph.markings
                 )
@@ -356,6 +355,27 @@ class TestSerialization:
         with pytest.raises(GraphError, match="weight must be an integer"):
             WeightedMarkedGraph.from_json_dict(
                 {"vertices": [{"id": 0, "weight": weight}], "edges": [], "markings": [0, 0, 0]}
+            )
+
+    @pytest.mark.parametrize(
+        "vertices, edges, markings",
+        [
+            ([{"id": 0}], [], []),  # no weight
+            ([[5]], [], []),  # entry is not an object
+            ([{"id": [0], "weight": 0}], [], []),  # unhashable id
+            ([{"id": 0, "weight": 1}], [5], []),  # edge is not a pair
+            (5, [], []),  # vertices is not a list
+            ([{"id": "a", "weight": 0}], [], "aaa"),  # markings is a string
+        ],
+        ids=[
+            "missing-weight", "list-entry", "list-id", "edge-not-a-pair",
+            "vertices-not-a-list", "markings-string",
+        ],
+    )
+    def test_json_malformed_entries(self, vertices, edges, markings):
+        with pytest.raises(GraphError):
+            WeightedMarkedGraph.from_json_dict(
+                {"vertices": vertices, "edges": edges, "markings": markings}
             )
 
     def test_dot_output(self, split_marked_pair):
