@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import homology as homology_mod
-from .complexes import build_poset, complex_dimension, hasse_dot, link_cells
+from .complexes import build_poset, hasse_dot, link_cells
 from .enumeration import enumerate_types
 from .errors import (
     ExtendedCurveError,
@@ -60,6 +61,15 @@ def _count(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"expected a nonnegative integer, got {text!r}"
+        )
+    return value
+
+
+def _svg_side(text: str) -> int:
+    value = _integer(text)
+    if value < 16:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 16, got {text!r}"
         )
     return value
 
@@ -188,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="-5,-5,5,5",
         help="SVG viewport as xmin,ymin,xmax,ymax",
     )
-    p_plane.add_argument("--size", type=int, default=400, help="SVG side length")
+    p_plane.add_argument("--size", type=_svg_side, default=400, help="SVG side length")
     _add_common(p_plane, "tropicalize-plane")
 
     return parser
@@ -219,15 +229,11 @@ def _run_complex(args) -> None:
         poset = build_poset(args.genus, args.markings, threads=args.threads)
         _write(hasse_dot(poset), args.output)
         return
-    catalog = enumerate_types(args.genus, args.markings, threads=args.threads)
-    dimension = complex_dimension(
-        args.genus, args.markings, threads=args.threads, catalog=catalog
-    )
-    link = link_cells(args.genus, args.markings, threads=args.threads, catalog=catalog)
+    link = link_cells(args.genus, args.markings, threads=args.threads)
     payload = {
         "g": args.genus,
         "n": args.markings,
-        "link_dimension": dimension,
+        "link_dimension": link.dimension(),
         "num_cells": len(link.cells),
         "cells": [
             {
@@ -304,9 +310,11 @@ def _run_tropicalize_plane(args) -> None:
             viewport = tuple(float(p) for p in parts)
         except ValueError:
             viewport = ()
+        if not all(map(math.isfinite, viewport)):
+            viewport = ()
         if len(viewport) != 4 or viewport[0] >= viewport[2] or viewport[1] >= viewport[3]:
-            raise GraphError("viewport must be xmin,ymin,xmax,ymax with min < max")
-        _write(render_svg(curve, viewport=viewport, size=max(args.size, 16)), args.svg)
+            raise GraphError("viewport must be finite xmin,ymin,xmax,ymax with min < max")
+        _write(render_svg(curve, viewport=viewport, size=args.size), args.svg)
     payload = curve.to_json_dict()
     payload["newton_faces"] = [list(face) for face in sub.faces]
     _write(_dump_json(payload), args.output)

@@ -11,7 +11,8 @@ the homology of the link consumes.
 
 Every (type, edge) contraction is canonicalized once, in build_poset, which
 records its target type and incidence sign; covers, link faces and boundary
-columns are all read from that one table.
+columns are all read from that one table.  Purity is checked by the
+enumeration sweep, so every catalog this module reads is already pure.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .enumeration import TypeCatalog, enumerate_types, has_expansion, max_edges
-from .errors import InternalConsistencyError
+from .enumeration import enumerate_types, max_edges
 from .graphs import (
     EdgeAutomorphismGroup,
     WeightedMarkedGraph,
@@ -36,7 +36,11 @@ class Cone:
     """Quotient cone of one combinatorial type."""
 
     graph: WeightedMarkedGraph
-    dimension: int  # = number of edges
+
+    @property
+    def dimension(self) -> int:
+        """Dimension of the cone: the number of edges."""
+        return self.graph.num_edges
 
     @cached_property
     def edge_group(self) -> EdgeAutomorphismGroup:
@@ -86,6 +90,7 @@ class FacePoset:
 class LinkComplex:
     """Cells of the volume-1 link: one per type with at least one edge.
 
+    Cell i is catalog type i + 1, since type 0 is the only edgeless one.
     A type with d edges gives a cell of dimension d - 1.  faces holds
     (cell, face cell or -1, contracted edge) triples; -1 means the
     contraction reached the edgeless cone point.  signs[k] is the incidence
@@ -102,14 +107,13 @@ class LinkComplex:
         return max((c.dimension - 1 for c in self.cells), default=-1)
 
 
-def build_poset(g: int, n: int, threads: int = 1, catalog: TypeCatalog | None = None) -> FacePoset:
+def build_poset(g: int, n: int, threads: int = 1) -> FacePoset:
     """Face poset of the moduli cone complex for (g, n), with incidence signs.
 
     Catalog entries are canonical triples, so they index themselves; each
     distinct contracted triple is canonicalized once.
     """
-    if catalog is None:
-        catalog = enumerate_types(g, n, threads=threads)
+    catalog = enumerate_types(g, n, threads=threads)
     index = {(t.weights, t.edges, t.markings): i for i, t in enumerate(catalog.strata)}
     landing: dict = {}  # contracted triple -> (target index, relabeling sign)
     covers = []
@@ -127,47 +131,28 @@ def build_poset(g: int, n: int, threads: int = 1, catalog: TypeCatalog | None = 
     return FacePoset(g=g, n=n, types=catalog.strata, covers=tuple(covers), signs=tuple(signs))
 
 
-def link_cells(g: int, n: int, threads: int = 1, catalog: TypeCatalog | None = None) -> LinkComplex:
+def link_cells(g: int, n: int, threads: int = 1) -> LinkComplex:
     """Cell structure of the link from the face poset; edge groups are lazy."""
-    poset = build_poset(g, n, threads=threads, catalog=catalog)
-    with_edges = [i for i, t in enumerate(poset.types) if t.num_edges > 0]
-    renumber = {old: new for new, old in enumerate(with_edges)}
-    cones = tuple(
-        Cone(graph=poset.types[i], dimension=poset.types[i].num_edges)
-        for i in with_edges
-    )
+    poset = build_poset(g, n, threads=threads)
+    cones = tuple(Cone(graph=t) for t in poset.types[1:])
+    # list lookups let all faces share one int object per cell, where
+    # parent - 1 would allocate a new int for every face
+    cell = list(range(-1, len(poset.types) - 1))
     faces = tuple(
-        (renumber[parent], renumber.get(child, -1), edge)
-        for parent, child, edge in poset.covers
+        (cell[parent], cell[child], edge) for parent, child, edge in poset.covers
     )
     return LinkComplex(g=g, n=n, cells=cones, faces=faces, signs=poset.signs)
 
 
-def complex_dimension(g: int, n: int, threads: int = 1, catalog: TypeCatalog | None = None) -> int:
+def complex_dimension(g: int, n: int, threads: int = 1) -> int:
     """Dimension 3g - 4 + n of the link, after verifying purity.
 
-    Every contraction-maximal type must have exactly 3g - 3 + n edges; a
-    violation would contradict the structure of the moduli space and raises
-    an internal consistency error naming the offending type.  A type is
-    maximal exactly when it admits no stable one-edge expansion, so the
-    check scans the catalog without building the face poset.
+    Every contraction-maximal type must have exactly 3g - 3 + n edges.  The
+    enumeration sweep checks this as it expands each level and raises an
+    internal consistency error naming the first offending type.
     """
-    if catalog is None:
-        catalog = enumerate_types(g, n, threads=threads)
-    top = max_edges(g, n)
-    if catalog.f_vector[top] == 0:
-        raise InternalConsistencyError(
-            f"purity violation at (g, n) = ({g}, {n}): no type attains "
-            f"{top} edges"
-        )
-    for t in catalog.strata:
-        if t.num_edges < top and not has_expansion(t):
-            raise InternalConsistencyError(
-                f"purity violation at (g, n) = ({g}, {n}): maximal type "
-                f"{(t.weights, t.edges, t.markings)} has {t.num_edges} edges, "
-                f"expected {top}"
-            )
-    return top - 1
+    enumerate_types(g, n, threads=threads)
+    return max_edges(g, n) - 1
 
 
 def hasse_dot(poset: FacePoset) -> str:

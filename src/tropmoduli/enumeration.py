@@ -10,6 +10,9 @@ complete.  Duplicates are removed by canonical encoding at each level.
 The catalog order (edge count, then canonical encoding) is part of the
 external contract: golden files depend on it.
 
+The sweep also checks purity: a type with fewer than 3g - 3 + n edges and
+no stable one-edge expansion would be a maximal cone of too low a dimension.
+
 The level expansion works on bare (weights, edges, markings) tuples; for a
 case like (0, 9) the sweep canonicalizes a few million candidates, and
 object construction would dominate the runtime.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnstableTypeError
+from .errors import InternalConsistencyError, UnstableTypeError
 from .graphs import WeightedMarkedGraph, _canonical_raw
 from .parallel import parallel_map
 
@@ -55,13 +58,12 @@ def cone_point(g: int, n: int) -> WeightedMarkedGraph:
     return WeightedMarkedGraph((g,), (), (0,) * n)
 
 
-def _split_moves(weights, edges, markings, v, collect, stop_at_first=False):
+def _split_moves(weights, edges, markings, v, collect):
     """One-edge expansions splitting vertex v into an edge v -- v'.
 
     Chooses which incident half-edges, how much weight, and which markings
     move to the new vertex; mirror-image choices are generated once since
-    swapping the two halves gives an isomorphic result.  Returns True as
-    soon as one move exists when stop_at_first is set.
+    swapping the two halves gives an isomorphic result.
     """
     slots = []  # (edge index, side) with that endpoint at v
     for idx, (a, b) in enumerate(edges):
@@ -89,8 +91,6 @@ def _split_moves(weights, edges, markings, v, collect, stop_at_first=False):
                     continue
                 if 2 * w_new - 2 + (h - kept_slots) + 1 + moved_marks <= 0:
                     continue
-                if stop_at_first:
-                    return True
                 new_edges = list(edges)
                 edits: dict[int, int] = {}
                 for bit, (idx, side) in enumerate(slots):
@@ -110,7 +110,6 @@ def _split_moves(weights, edges, markings, v, collect, stop_at_first=False):
                     if mark_bits >> bit & 1:
                         new_markings[k] = nv
                 collect((new_weights, tuple(new_edges), tuple(new_markings)))
-    return False
 
 
 def _expand_raw(weights, edges, markings):
@@ -139,12 +138,7 @@ def _expand_raw(weights, edges, markings):
 
 def has_expansion(g: WeightedMarkedGraph) -> bool:
     """Whether any stable one-edge expansion exists (g is not maximal)."""
-    if any(w >= 1 for w in g.weights):
-        return True
-    return any(
-        _split_moves(g.weights, g.edges, g.markings, v, None, stop_at_first=True)
-        for v in range(g.num_vertices)
-    )
+    return bool(_expand_raw(g.weights, g.edges, g.markings))
 
 
 def _expand_to_keys(key):
@@ -152,14 +146,24 @@ def _expand_to_keys(key):
 
 
 def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
-    """Complete, duplicate-free catalog of stable (g, n) types."""
+    """Complete, duplicate-free and pure catalog of stable (g, n) types.
+
+    Raises InternalConsistencyError for the first type, in catalog order,
+    that has fewer than 3g - 3 + n edges and no expansion.
+    """
     require_stable_range(g, n)
+    top = max_edges(g, n)
     start_key = ((g,), (), (0,) * n)
     level_keys = [[start_key]]
-    for _ in range(max_edges(g, n)):
+    for edges in range(top):
         batches = parallel_map(_expand_to_keys, level_keys[-1], threads=threads)
         found = set()
-        for batch in batches:
+        for key, batch in zip(level_keys[-1], batches):
+            if not batch:
+                raise InternalConsistencyError(
+                    f"purity violation at (g, n) = ({g}, {n}): maximal type "
+                    f"{key} has {edges} edges, expected {top}"
+                )
             found.update(batch)
         # catalog order within a level follows the certificate encoding
         level_keys.append(sorted(found, key=repr))

@@ -97,16 +97,19 @@ class HomologyProfile:
         return {k: self.betti(2 * d - k - 1) for k in range(d, 2 * d + 1)}
 
 
-def build_chain_complex(link: LinkComplex) -> ChainComplex:
-    """Assemble boundary matrices and verify d(d(x)) = 0 in every degree."""
-    top = max((c.dimension - 1 for c in link.cells), default=-1)
-    generators: list[list[int]] = [[] for _ in range(top + 1)]
-    position: dict[int, int] = {}
+def _generators(link: LinkComplex) -> list[list[int]]:
+    """Surviving (not odd) cells of the link, by dimension, in cell order."""
+    generators: list[list[int]] = [[] for _ in range(link.dimension() + 1)]
     for i, cone in enumerate(link.cells):
         if not cone.is_odd:
-            position[i] = len(generators[cone.dimension - 1])
             generators[cone.dimension - 1].append(i)
+    return generators
 
+
+def build_chain_complex(link: LinkComplex) -> ChainComplex:
+    """Assemble boundary matrices and verify d(d(x)) = 0 in every degree."""
+    generators = _generators(link)
+    position = {i: row for gens in generators for row, i in enumerate(gens)}
     columns: dict[int, dict[int, int]] = {i: {} for i in position}
     rows = {**position, -1: 0}  # the cone point is the augmentation row
     for (cell, face, _), sign in zip(link.faces, link.signs):
@@ -221,7 +224,7 @@ def chain_complex_within_bounds(
 ) -> ChainComplex:
     """Build the chain complex unless the generator cap would be exceeded."""
     if max_generators is not None:
-        sizes = _surviving_sizes(link)
+        sizes = tuple(map(len, _generators(link)))
         total = sum(sizes)
         if total > max_generators:
             raise ResourceBoundExceeded(
@@ -231,15 +234,6 @@ def chain_complex_within_bounds(
                 chain_ranks=sizes,
             )
     return build_chain_complex(link)
-
-
-def _surviving_sizes(link: LinkComplex) -> tuple[int, ...]:
-    top = max((c.dimension - 1 for c in link.cells), default=-1)
-    sizes = [0] * (top + 1)
-    for cone in link.cells:
-        if not cone.is_odd:
-            sizes[cone.dimension - 1] += 1
-    return tuple(sizes)
 
 
 def homology_of_chain(chain: ChainComplex) -> HomologyProfile:

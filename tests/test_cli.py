@@ -70,6 +70,13 @@ class TestComplexCommand:
         assert data["num_cells"] == 4
         assert all(len(f) == 3 for f in data["faces"])
 
+    def test_point_has_empty_link(self, capsys):
+        code, out, _ = run(capsys, "complex", "--genus", "0", "--markings", "3")
+        assert code == 0
+        data = json.loads(out)
+        assert data["link_dimension"] == -1
+        assert data["num_cells"] == 0
+
     def test_dot_output(self, capsys):
         code, out, _ = run(
             capsys, "complex", "--genus", "1", "--markings", "2", "--format", "dot"
@@ -283,14 +290,20 @@ class TestTropicalizePlaneCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_viewport(self, capsys, poly_file, tmp_path):
-        code, _, err = run(
-            capsys,
-            "tropicalize-plane", poly_file,
-            "--svg", str(tmp_path / "x.svg"),
-            "--viewport", "0,0,0,0",
-        )
-        assert code == 1
-        assert "viewport" in err
+        svg = tmp_path / "x.svg"
+        for flag, value, code in [
+            ("--viewport", "0,0,0,0", 1),
+            ("--viewport", "nan,nan,nan,nan", 1),
+            ("--viewport", "0,0,inf,5", 1),
+            ("--size", "-100", 2),
+        ]:
+            exit_code, out, err = run(
+                capsys, "tropicalize-plane", poly_file, "--svg", str(svg), flag, value
+            )
+            assert exit_code == code, value
+            assert out == ""
+            assert not svg.exists()
+            assert flag.lstrip("-") in err.splitlines()[-1]
 
 
 class TestOutputFile:

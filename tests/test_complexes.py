@@ -1,12 +1,16 @@
+import re
+
 import pytest
 
 from tropmoduli import (
+    InternalConsistencyError,
     WeightedMarkedGraph,
     build_poset,
     complex_dimension,
     enumerate_types,
     link_cells,
 )
+from tropmoduli import enumeration
 from tropmoduli.complexes import hasse_dot
 
 
@@ -107,6 +111,24 @@ class TestDimension:
         ]
         for g, n in cases:
             assert complex_dimension(g, n) == 3 * g - 4 + n
+
+    def test_type_without_expansion_is_purity_violation(self, monkeypatch):
+        t = next(t for t in enumerate_types(1, 2).strata if t.num_edges == 1)
+        victim = (t.weights, t.edges, t.markings)
+        expand = enumeration._expand_raw
+        monkeypatch.setattr(
+            enumeration,
+            "_expand_raw",
+            lambda *key: [] if key == victim else expand(*key),
+        )
+        message = re.escape(
+            f"purity violation at (g, n) = (1, 2): maximal type {victim} "
+            "has 1 edges, expected 2"
+        )
+        with pytest.raises(InternalConsistencyError, match=message):
+            enumerate_types(1, 2)
+        with pytest.raises(InternalConsistencyError, match=message):
+            complex_dimension(1, 2)
 
 
 class TestHasse:
