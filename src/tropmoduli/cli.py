@@ -7,6 +7,8 @@ deterministic function of the arguments.  --threads is accepted and ignored:
 the work is pure Python and runs serially.
 
 Exit codes: 0 success, 1 domain error (with a message on stderr), 2 usage.
+An --output or --svg path that cannot be written is a domain error found
+before any computation.
 Environment variables TROPMODULI_THREADS, TROPMODULI_MAX_GENERATORS,
 TROPMODULI_FORMAT, and TROPMODULI_OUTPUT mirror the corresponding flags.
 """
@@ -14,6 +16,7 @@ TROPMODULI_FORMAT, and TROPMODULI_OUTPUT mirror the corresponding flags.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -86,6 +89,30 @@ def _env(name: str, cast, fallback):
 
 def _dump_json(data) -> str:
     return json.dumps(data, indent=2) + "\n"
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise the OSError that writing to path would raise, before any work.
+
+    Neither creates nor truncates the file: an existing file must be
+    writable, a new one needs a writable directory.
+    """
+    if path is None:
+        return
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    else:
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.exists(parent):
+            code = errno.ENOENT
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR
+        else:
+            code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), path)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -339,6 +366,8 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_writable(args.output)
+        _check_writable(getattr(args, "svg", None))
         _RUNNERS[args.command](args)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

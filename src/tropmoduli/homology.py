@@ -15,6 +15,20 @@ the single edge of a 0-cell lands on the edgeless type with coefficient +1.
 Those incidence signs come with the link's faces, so assembling the matrices
 canonicalizes nothing.
 
+Ranks are taken in cohomology order.  The boundary out of degree p is
+transposed into the coboundary delta_p, whose columns are the generators of
+degree p - 1, and the coboundaries are reduced from the bottom degree up.
+Clearing (Bauer, Kerber and Reininghaus, "Clear and Compress"; Bauer,
+"Ripser"): the pivot rows of an elimination of delta_{p-1} index generators
+of degree p - 1 whose coordinates determine every vector in the image of
+delta_{p-1}, so each of those generators is a coboundary plus a combination
+of the other generators.  Since d(d(x)) = 0, delta_p kills every coboundary,
+so the column of such a generator is a combination of the others and is
+skipped without changing the rank of delta_p.  The lemma is only as good as
+d(d(x)) = 0, which is why build_chain_complex audits every degree before any
+rank is taken: a wrong incidence sign fails loudly there, instead of giving
+a wrong rank here.
+
 All ranks are computed by exact integer elimination; no floating point
 arithmetic appears anywhere in this module.
 """
@@ -22,6 +36,7 @@ arithmetic appears anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .complexes import LinkComplex, link_cells
@@ -149,14 +164,28 @@ def _verify_square_zero(chain: ChainComplex) -> None:
                 )
 
 
-def sparse_integer_rank(columns) -> int:
+def sparse_integer_rank(columns, pivot_rows: list[int] | None = None) -> int:
     """Exact rank of an integer matrix given as sparse columns.
 
     Fraction-free elimination with a fill-reducing pivot rule: pick the
-    occupied column with fewest entries, then its shortest row.  Updated rows
-    are divided by their content (gcd) to keep entries small.  The result is
-    deterministic and uses only arbitrary-precision integers.
+    occupied row with fewest entries (ties to the lower index), then its
+    shortest column.  Updated columns are divided by their content (gcd) to
+    keep entries small.  The occupied rows wait in a heap keyed by
+    (occupancy, row) with lazy deletion: a step re-pushes each row of its
+    pivot column, the only rows whose occupancy can change, and an entry
+    whose occupancy is out of date is dropped when it surfaces.  So every
+    pivot is the one a scan over all occupied rows would pick.
+
+    If pivot_rows is given, the pivot row of each step is appended to it.
+    The standard basis vectors of the other rows span a complement of the
+    column space; clearing in cohomology order (see the module docstring)
+    reads the pivot rows of one coboundary as the columns to skip in the
+    next.  The result is deterministic and uses only arbitrary-precision
+    integers.
     """
+    # Internally the input columns are the eliminated vectors ("rows" below,
+    # keyed by column index) and occupancy maps a matrix row to the vectors
+    # that have an entry in it.
     rows: dict[int, dict[int, int]] = {}
     for i, col in enumerate(columns):
         if col:
@@ -165,10 +194,15 @@ def sparse_integer_rank(columns) -> int:
     for i, row in rows.items():
         for c in row:
             occupancy.setdefault(c, set()).add(i)
+    queue = [(len(members), c) for c, members in occupancy.items()]
+    heapify(queue)
     rank = 0
     while rows:
-        c = min(occupancy, key=lambda col: (len(occupancy[col]), col))
-        r = min(occupancy[c], key=lambda i: (len(rows[i]), i))
+        size, c = heappop(queue)
+        members = occupancy.get(c)
+        if members is None or len(members) != size:
+            continue
+        r = min(members, key=lambda i: (len(rows[i]), i))
         pivot_row = rows.pop(r)
         for col in pivot_row:
             occupancy[col].discard(r)
@@ -201,8 +235,40 @@ def sparse_integer_rank(columns) -> int:
                 rows[j] = new_row
             else:
                 del rows[j]
+        for col in pivot_row:
+            members = occupancy.get(col)
+            if members:
+                heappush(queue, (len(members), col))
+        if pivot_rows is not None:
+            pivot_rows.append(c)
         rank += 1
     return rank
+
+
+def _coboundary_ranks(chain: ChainComplex) -> list[int]:
+    """Rank of the boundary out of degree p, for p = 0 .. top degree.
+
+    Walks the coboundaries from the bottom degree up and skips the columns
+    that the previous degree's pivot rows clear (see the module docstring);
+    the chain must have passed the d(d(x)) = 0 audit of build_chain_complex.
+    Only one transposed degree is alive at a time.
+    """
+    ranks = []
+    cleared: set[int] = set()
+    for p, boundary in enumerate(chain.boundaries):
+        kept = {
+            i: [] for i in range(chain.rank_of_chain_group(p - 1)) if i not in cleared
+        }
+        for j, col in enumerate(boundary):
+            for i, c in col:
+                column = kept.get(i)
+                if column is not None:
+                    column.append((j, c))
+        pivots: list[int] = []
+        ranks.append(sparse_integer_rank(list(kept.values()), pivots))
+        del kept
+        cleared = set(pivots)
+    return ranks
 
 
 def reduced_homology(
@@ -240,15 +306,10 @@ def homology_of_chain(chain: ChainComplex) -> HomologyProfile:
     top = max_edges(chain.g, chain.n) - 1
     dims = [chain.rank_of_chain_group(p) for p in range(-1, top + 1)]
 
-    def boundary_rank(p: int) -> int:
-        if 0 <= p <= chain.top_degree():
-            return sparse_integer_rank(chain.boundaries[p])
-        return 0
-
-    ranks = {p: boundary_rank(p) for p in range(0, top + 2)}
-    ranks[-1] = 0
+    rank = dict(enumerate(_coboundary_ranks(chain)))
     betti = [
-        dims[p + 1] - ranks[p] - ranks[p + 1] for p in range(-1, top + 1)
+        dims[p + 1] - rank.get(p, 0) - rank.get(p + 1, 0)
+        for p in range(-1, top + 1)
     ]
     euler_from_betti = sum(
         (1 if (p - 1) % 2 == 0 else -1) * b for p, b in enumerate(betti)

@@ -21,6 +21,10 @@ branches on every vertex of the first non-singleton class, at every node.
 The package must return the same key and the same vertex order, since
 boundary signs and certificate relabelings are read from the order.
 
+One reference keeps the package's exact rank as it was before its pivot
+heap: each pivot row is found by a scan over every occupied row.  The
+package must pick the same pivot rows in the same order.
+
 Graphs are plain tuples (weights, edges, markings) in the same convention
 as the package: edges are sorted pairs, markings map label k to a vertex.
 """
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from math import gcd
 
 
 def is_connected(num_vertices, edges) -> bool:
@@ -343,3 +348,58 @@ def reference_search_kind(weights, edges, markings):
     if len(set(_reference_refine_ranks(nv, adj, colors))) == nv:
         return "refined"
     return "search"
+
+
+def reference_sparse_integer_rank(columns):
+    """The scan elimination of the package's exact rank, before its heap.
+
+    Returns the rank and the pivot rows in the order they were chosen.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for i, col in enumerate(columns):
+        if col:
+            rows[i] = dict(col)
+    occupancy: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for c in row:
+            occupancy.setdefault(c, set()).add(i)
+    rank = 0
+    pivot_rows = []
+    while rows:
+        c = min(occupancy, key=lambda col: (len(occupancy[col]), col))
+        r = min(occupancy[c], key=lambda i: (len(rows[i]), i))
+        pivot_row = rows.pop(r)
+        for col in pivot_row:
+            occupancy[col].discard(r)
+            if not occupancy[col]:
+                del occupancy[col]
+        a = pivot_row[c]
+        for j in sorted(occupancy.get(c, ())):
+            row = rows[j]
+            b = row[c]
+            new_row = {col: a * val for col, val in row.items()}
+            for col, val in pivot_row.items():
+                merged = new_row.get(col, 0) - b * val
+                if merged:
+                    new_row[col] = merged
+                else:
+                    new_row.pop(col, None)
+            for col in row:
+                if col not in new_row:
+                    occupancy[col].discard(j)
+                    if not occupancy[col]:
+                        del occupancy[col]
+            content = 0
+            for val in new_row.values():
+                content = gcd(content, val)
+            if content > 1:
+                new_row = {col: val // content for col, val in new_row.items()}
+            for col in new_row:
+                occupancy.setdefault(col, set()).add(j)
+            if new_row:
+                rows[j] = new_row
+            else:
+                del rows[j]
+        pivot_rows.append(c)
+        rank += 1
+    return rank, pivot_rows

@@ -92,6 +92,7 @@ def test_criterion_1_enumeration_counts():
     report(1, f"7 + 5 types matched graph-by-graph in {elapsed:.3f}s (< 1s)", ok)
 
 
+@pytest.mark.slow
 def test_criterion_2_purity():
     start = time.monotonic()
     cases = [
@@ -183,6 +184,7 @@ def test_criterion_5_chain_complex_sanity():
     report(5, "boundary squares to zero and rank alternating sums agree", ok)
 
 
+@pytest.mark.slow
 def test_criterion_6_oracle_equivalence():
     from oracles import _invariant_key
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from tropmoduli import cli
 from tropmoduli.cli import dispatch
+from tropmoduli.errors import ResourceBoundExceeded
 
 
 def run(capsys, *argv):
@@ -318,6 +320,81 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["count"] == 2
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("the computation started before the output was checked")
+
+
+def _unwritable(tmp_path, case):
+    """A path under tmp_path that cannot be written, and the expected error."""
+    if case == "missing-directory":
+        return tmp_path / "missing" / "x.json", "No such file or directory"
+    (tmp_path / "out").mkdir()
+    return tmp_path / "out", "Is a directory"
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("case", ["missing-directory", "directory"])
+    def test_homology_output_refused_before_work(
+        self, capsys, tmp_path, monkeypatch, case
+    ):
+        monkeypatch.setattr(cli.homology_mod, "reduced_homology", _refuse_work)
+        target, message = _unwritable(tmp_path, case)
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(
+            capsys,
+            "homology",
+            "--genus", "1", "--markings", "6",
+            "--output", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and str(target) in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("case", ["missing-directory", "directory"])
+    def test_plane_svg_refused_before_work(self, capsys, tmp_path, monkeypatch, case):
+        monkeypatch.setattr(cli, "tropical_curve", _refuse_work)
+        poly = tmp_path / "poly.json"
+        terms = [{"i": 1, "j": 0, "val": "0"}, {"i": 0, "j": 0, "val": "0"}]
+        poly.write_text(json.dumps({"terms": terms}))
+        target, message = _unwritable(tmp_path, case)
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(
+            capsys, "tropicalize-plane", str(poly), "--svg", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and str(target) in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_output_untouched_until_the_work_succeeds(
+        self, capsys, tmp_path, monkeypatch, exists
+    ):
+        target = tmp_path / "x.json"
+        if exists:
+            target.write_text("kept\n")
+
+        def failing_work(*args, **kwargs):
+            assert target.exists() == exists
+            raise ResourceBoundExceeded("over the cap")
+
+        monkeypatch.setattr(cli.homology_mod, "reduced_homology", failing_work)
+        code, out, err = run(
+            capsys,
+            "homology",
+            "--genus", "1", "--markings", "3",
+            "--output", str(target),
+        )
+        assert code == 1
+        assert err == "error: over the cap\n"
+        assert target.exists() == exists
+        if exists:
+            assert target.read_text() == "kept\n"
 
 
 class TestGoldenOutput:

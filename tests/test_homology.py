@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -11,9 +12,33 @@ from tropmoduli import (
     reduced_homology,
     top_weight_cohomology,
 )
-from tropmoduli.homology import sparse_integer_rank
+from tropmoduli import homology
+from tropmoduli.homology import (
+    _coboundary_ranks,
+    homology_of_chain,
+    sparse_integer_rank,
+)
 
-from oracles import reference_boundary_columns
+from oracles import reference_boundary_columns, reference_sparse_integer_rank
+
+_chains = {}
+
+
+def chain_of(g, n):
+    """Chain complexes shared by the tests of this module, built once."""
+    if (g, n) not in _chains:
+        _chains[(g, n)] = build_chain_complex(link_cells(g, n))
+    return _chains[(g, n)]
+
+
+def random_columns(rng, nrows, ncols, density):
+    cols = []
+    for _ in range(ncols):
+        entries = {
+            r: rng.randint(-3, 3) for r in range(nrows) if rng.random() < density
+        }
+        cols.append(tuple(sorted((r, v) for r, v in entries.items() if v)))
+    return cols
 
 
 def dense_rank_over_q(columns, nrows):
@@ -63,6 +88,54 @@ class TestSparseRank:
                     entries[rng.randrange(nrows)] = rng.randint(-3, 3)
                 cols.append(tuple(sorted((r, v) for r, v in entries.items() if v)))
             assert sparse_integer_rank(cols) == dense_rank_over_q(cols, nrows)
+
+    def test_pivots_match_scan_oracle_on_random_matrices(self):
+        rng = random.Random(2016)
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 30), rng.randint(1, 30)
+            cols = random_columns(rng, nrows, ncols, rng.choice((0.05, 0.15, 0.4)))
+            pivots = []
+            rank = sparse_integer_rank(cols, pivots)
+            assert (rank, pivots) == reference_sparse_integer_rank(cols)
+            assert rank == dense_rank_over_q(cols, nrows)
+
+    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (2, 3), (3, 0)])
+    def test_pivots_match_scan_oracle_on_boundaries(self, g, n):
+        chain = chain_of(g, n)
+        for boundary in chain.boundaries:
+            pivots = []
+            rank = sparse_integer_rank(boundary, pivots)
+            assert (rank, pivots) == reference_sparse_integer_rank(boundary)
+
+
+class TestClearing:
+    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (2, 2), (2, 3), (3, 0)])
+    def test_cleared_coboundary_ranks_match_boundary_ranks(self, g, n):
+        chain = chain_of(g, n)
+        uncleared = [sparse_integer_rank(boundary) for boundary in chain.boundaries]
+        assert _coboundary_ranks(chain) == uncleared
+        # every boundary here has at most 105 x 105 entries
+        for p, boundary in enumerate(chain.boundaries):
+            nrows = chain.rank_of_chain_group(p - 1)
+            assert uncleared[p] == dense_rank_over_q(boundary, nrows)
+
+    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (2, 3)])
+    def test_clearing_skips_the_previous_pivot_rows(self, g, n, monkeypatch):
+        chain = chain_of(g, n)
+        widths = []
+
+        def recording(columns, pivot_rows=None):
+            widths.append(len(columns))
+            return sparse_integer_rank(columns, pivot_rows)
+
+        monkeypatch.setattr(homology, "sparse_integer_rank", recording)
+        ranks = _coboundary_ranks(chain)
+        # each degree skips exactly one column per pivot of the degree below
+        expected = [
+            chain.rank_of_chain_group(p - 1) - (ranks[p - 1] if p else 0)
+            for p in range(len(ranks))
+        ]
+        assert widths == expected
 
 
 class TestChainComplex:
@@ -139,6 +212,19 @@ class TestPublishedRanks:
     def test_genus_two_unmarked_vanishes(self):
         profile = reduced_homology(2, 0)
         assert all(b == 0 for b in profile.reduced_betti)
+
+    @pytest.mark.parametrize(
+        "n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
+    )
+    def test_genus_zero_factorial_in_top_degree(self, n):
+        profile = reduced_homology(0, n, max_generators=None)
+        nonzero = {p: b for p, b in profile.betti_map().items() if b}
+        assert nonzero == {n - 4: factorial(n - 2)}
+
+    def test_genus_three_unmarked(self):
+        profile = homology_of_chain(chain_of(3, 0))
+        nonzero = {p: b for p, b in profile.betti_map().items() if b}
+        assert nonzero == {5: 1}
 
 
 class TestEuler:
