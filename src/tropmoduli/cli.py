@@ -3,14 +3,15 @@
 One executable, five subcommands (enumerate, complex, homology,
 tropicalize-model, tropicalize-plane), machine-readable output.  Numbers in
 output are exact rational strings, never floats; every byte of output is a
-deterministic function of the arguments.  --threads is accepted and ignored:
-the work is pure Python and runs serially.
+deterministic function of the arguments.  --threads is validated and then
+ignored: the work is pure Python and runs serially.
 
 Exit codes: 0 success, 1 domain error (with a message on stderr), 2 usage.
-An --output or --svg path that cannot be written is a domain error found
-before any computation.
+An --output or --svg path that cannot be written, the empty path included,
+is a domain error found before any computation.
 Environment variables TROPMODULI_THREADS, TROPMODULI_MAX_GENERATORS,
-TROPMODULI_FORMAT, and TROPMODULI_OUTPUT mirror the corresponding flags.
+TROPMODULI_FORMAT, and TROPMODULI_OUTPUT mirror the corresponding flags; an
+empty variable counts as unset.
 """
 
 from __future__ import annotations
@@ -95,11 +96,14 @@ def _check_writable(path: str | None) -> None:
     """Raise the OSError that writing to path would raise, before any work.
 
     Neither creates nor truncates the file: an existing file must be
-    writable, a new one needs a writable directory.
+    writable, a new one needs a writable directory, and the empty path names
+    no file at all.
     """
     if path is None:
         return
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif os.path.exists(path):
         code = 0 if os.access(path, os.W_OK) else errno.EACCES
@@ -253,10 +257,10 @@ def _run_enumerate(args) -> None:
 
 def _run_complex(args) -> None:
     if args.format == "dot":
-        poset = build_poset(args.genus, args.markings, threads=args.threads)
+        poset = build_poset(args.genus, args.markings)
         _write(hasse_dot(poset), args.output)
         return
-    link = link_cells(args.genus, args.markings, threads=args.threads)
+    link = link_cells(args.genus, args.markings)
     payload = {
         "g": args.genus,
         "n": args.markings,
@@ -279,9 +283,7 @@ def _run_complex(args) -> None:
 
 def _run_homology(args) -> None:
     cap = None if args.max_generators == 0 else args.max_generators
-    profile = homology_mod.reduced_homology(
-        args.genus, args.markings, threads=args.threads, max_generators=cap
-    )
+    profile = homology_mod.reduced_homology(args.genus, args.markings, max_generators=cap)
     top_weight = profile.top_weight()
     if args.format == "json":
         payload = {
@@ -331,7 +333,7 @@ def _run_tropicalize_plane(args) -> None:
     poly = TropicalPolynomial.from_json_dict(data)
     curve = tropical_curve(poly)
     sub = newton_subdivision(poly)
-    if args.svg:
+    if args.svg is not None:
         parts = [p.strip() for p in args.viewport.split(",")]
         try:
             viewport = tuple(float(p) for p in parts)

@@ -107,13 +107,13 @@ class LinkComplex:
         return max((c.dimension - 1 for c in self.cells), default=-1)
 
 
-def build_poset(g: int, n: int, threads: int = 1) -> FacePoset:
+def build_poset(g: int, n: int) -> FacePoset:
     """Face poset of the moduli cone complex for (g, n), with incidence signs.
 
     Catalog entries are canonical triples, so they index themselves; each
     distinct contracted triple is canonicalized once.
     """
-    catalog = enumerate_types(g, n, threads=threads)
+    catalog = enumerate_types(g, n)
     index = {(t.weights, t.edges, t.markings): i for i, t in enumerate(catalog.strata)}
     landing: dict = {}  # contracted triple -> (target index, relabeling sign)
     covers = []
@@ -131,9 +131,9 @@ def build_poset(g: int, n: int, threads: int = 1) -> FacePoset:
     return FacePoset(g=g, n=n, types=catalog.strata, covers=tuple(covers), signs=tuple(signs))
 
 
-def link_cells(g: int, n: int, threads: int = 1) -> LinkComplex:
+def link_cells(g: int, n: int) -> LinkComplex:
     """Cell structure of the link from the face poset; edge groups are lazy."""
-    poset = build_poset(g, n, threads=threads)
+    poset = build_poset(g, n)
     cones = tuple(Cone(graph=t) for t in poset.types[1:])
     # list lookups let all faces share one int object per cell, where
     # parent - 1 would allocate a new int for every face
@@ -144,14 +144,14 @@ def link_cells(g: int, n: int, threads: int = 1) -> LinkComplex:
     return LinkComplex(g=g, n=n, cells=cones, faces=faces, signs=poset.signs)
 
 
-def complex_dimension(g: int, n: int, threads: int = 1) -> int:
+def complex_dimension(g: int, n: int) -> int:
     """Dimension 3g - 4 + n of the link, after verifying purity.
 
     Every contraction-maximal type must have exactly 3g - 3 + n edges.  The
     enumeration sweep checks this as it expands each level and raises an
     internal consistency error naming the first offending type.
     """
-    enumerate_types(g, n, threads=threads)
+    enumerate_types(g, n)
     return max_edges(g, n) - 1
 
 

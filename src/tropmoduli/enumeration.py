@@ -156,6 +156,7 @@ def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
     start_key = ((g,), (), (0,) * n)
     level_keys = [[start_key]]
     for edges in range(top):
+        # threads reaches perfbench/tracer.py, whose self-test counts pooled calls
         batches = parallel_map(_expand_to_keys, level_keys[-1], threads=threads)
         found = set()
         for key, batch in zip(level_keys[-1], batches):
@@ -174,6 +175,6 @@ def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
     return TypeCatalog(g=g, n=n, strata=strata, f_vector=f_vector)
 
 
-def count_types(g: int, n: int, threads: int = 1) -> tuple[int, ...]:
+def count_types(g: int, n: int) -> tuple[int, ...]:
     """Counts of stable types by edge number (the f-vector)."""
-    return enumerate_types(g, n, threads=threads).f_vector
+    return enumerate_types(g, n).f_vector

@@ -11,6 +11,9 @@ that must agree cell for cell:
 * Newton duality: the lower convex hull of the lifted support induces a
   regular subdivision of the Newton polygon, whose 2-cells, interior edges
   and boundary edges are dual to the curve's vertices, segments and rays.
+  The subdivision records each 2-cell's dual point from the plane that
+  found it, and the 2-cells each edge bounds from the one walk of their
+  hulls, so the dual curve is read off it without solving or walking again.
 
 Everything is exact; the only floating point in this file is in the SVG
 renderer, which is a drawing concern.
@@ -129,12 +132,19 @@ class NewtonSubdivision:
     cells); segments lists the 1-cells, each a pair of support indices.  For
     a support of affine dimension 1 there are no faces and the segments form
     the lower-hull chain.
+
+    dual_points[i] is (-lam, -mu) for the plane h = lam*x + mu*y + nu of
+    faces[i]: the curve vertex where exactly the face's terms tie at the
+    minimum.  segment_faces[k] lists the indices of the faces segments[k]
+    bounds: two inside, one on the boundary, none in affine dimension 1.
     """
 
     support: tuple[ExponentPair, ...]
     heights: tuple[Fraction, ...]
     faces: tuple[tuple[int, ...], ...]
     segments: tuple[tuple[int, int], ...]
+    dual_points: tuple[Point, ...]
+    segment_faces: tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +181,20 @@ def _cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _lower_chain(points):
+    """Lower monotone chain of points sorted by first coordinate.
+
+    A point that makes no strict left turn is dropped, so collinear points
+    interior to a chain edge are dropped too.
+    """
+    chain = []
+    for p in points:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def _convex_hull(points):
     """Andrew monotone chain; returns hull vertices counterclockwise.
 
@@ -180,17 +204,7 @@ def _convex_hull(points):
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    return _lower_chain(pts)[:-1] + _lower_chain(pts[::-1])[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -291,142 +305,78 @@ def newton_subdivision(f: TropicalPolynomial) -> NewtonSubdivision:
     support = tuple(e for e, _ in f.terms)
     heights = tuple(v for _, v in f.terms)
     m = len(support)
-    faces: list[tuple[int, ...]] = []
-    segments: set[tuple[int, int]] = set()
-
-    if m >= 3:
-        seen = set()
-        for a, b, c in itertools.combinations(range(m), 3):
-            (xa, ya), (xb, yb), (xc, yc) = support[a], support[b], support[c]
-            det = (xb - xa) * (yc - ya) - (xc - xa) * (yb - ya)
-            if det == 0:
-                continue
-            ha, hb, hc = heights[a], heights[b], heights[c]
-            # plane h = lam*x + mu*y + nu through the three lifted points
-            lam = Fraction((hb - ha) * (yc - ya) - (hc - ha) * (yb - ya), det)
-            mu = Fraction((xb - xa) * (hc - ha) - (xc - xa) * (hb - ha), det)
-            nu = ha - lam * xa - mu * ya
-            below = False
-            on_plane = []
-            for k in range(m):
-                gap = heights[k] - (lam * support[k][0] + mu * support[k][1] + nu)
-                if gap < 0:
-                    below = True
-                    break
-                if gap == 0:
-                    on_plane.append(k)
-            if below:
-                continue
-            face = tuple(on_plane)
-            if face not in seen:
-                seen.add(face)
-                faces.append(face)
-        for face in faces:
-            hull = _convex_hull([support[k] for k in face])
-            idx = {support[k]: k for k in face}
-            for t in range(len(hull)):
-                u, v = idx[hull[t]], idx[hull[(t + 1) % len(hull)]]
-                segments.add((min(u, v), max(u, v)))
+    duals: dict[tuple[int, ...], Point] = {}  # face -> its dual point
+    for a, b, c in itertools.combinations(range(m), 3):
+        (xa, ya), (xb, yb), (xc, yc) = support[a], support[b], support[c]
+        det = (xb - xa) * (yc - ya) - (xc - xa) * (yb - ya)
+        if det == 0:
+            continue
+        ha, hb, hc = heights[a], heights[b], heights[c]
+        # plane h = lam*x + mu*y + nu through the three lifted points
+        lam = Fraction((hb - ha) * (yc - ya) - (hc - ha) * (yb - ya), det)
+        mu = Fraction((xb - xa) * (hc - ha) - (xc - xa) * (hb - ha), det)
+        nu = ha - lam * xa - mu * ya
+        on_plane = []
+        for k in range(m):
+            gap = heights[k] - (lam * support[k][0] + mu * support[k][1] + nu)
+            if gap < 0:
+                break
+            if gap == 0:
+                on_plane.append(k)
+        else:
+            # the face's terms tie at (-lam, -mu), below every other term
+            duals.setdefault(tuple(on_plane), (-lam, -mu))
+    faces = sorted(duals)
+    bounded: dict[tuple[int, int], list[int]] = {}  # segment -> its faces
+    for fi, face in enumerate(faces):
+        hull = _convex_hull([support[k] for k in face])
+        idx = {support[k]: k for k in face}
+        for t in range(len(hull)):
+            u, v = idx[hull[t]], idx[hull[(t + 1) % len(hull)]]
+            bounded.setdefault((min(u, v), max(u, v)), []).append(fi)
 
     if not faces and m >= 2:
-        # support of affine dimension 1: univariate-style lower hull along
-        # the line, parametrized by whichever coordinate varies
+        # support of affine dimension 1: the lower chain of the lifted
+        # points along the line, parametrized by whichever coordinate varies
         coord = 0 if len({x for x, _ in support}) > 1 else 1
-        order = sorted(range(m), key=lambda k: support[k][coord])
-        chain: list[int] = []
-        for k in order:
-            while len(chain) >= 2:
-                p1, p2 = chain[-2], chain[-1]
-                t1 = Fraction(support[p1][coord])
-                t2 = Fraction(support[p2][coord])
-                t3 = Fraction(support[k][coord])
-                turn = (t2 - t1) * (heights[k] - heights[p1]) - (
-                    t3 - t1
-                ) * (heights[p2] - heights[p1])
-                if turn <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(k)
-        for t in range(len(chain) - 1):
-            u, v = chain[t], chain[t + 1]
-            segments.add((min(u, v), max(u, v)))
+        lifted = {(support[k][coord], heights[k]): k for k in range(m)}
+        chain = [lifted[p] for p in _lower_chain(sorted(lifted))]
+        for u, v in zip(chain, chain[1:]):
+            bounded[(min(u, v), max(u, v))] = []
 
-    faces.sort()
+    segments = sorted(bounded)
     return NewtonSubdivision(
         support=support,
         heights=heights,
         faces=tuple(faces),
-        segments=tuple(sorted(segments)),
+        segments=tuple(segments),
+        dual_points=tuple(duals[face] for face in faces),
+        segment_faces=tuple(tuple(bounded[s]) for s in segments),
     )
 
 
-def _dual_vertex(sub: NewtonSubdivision, face) -> Point:
-    """Point where all terms of a 2-face achieve the minimum: (-lam, -mu)."""
-    pts = [sub.support[k] for k in face]
-    hts = [sub.heights[k] for k in face]
-    for a, b, c in itertools.combinations(range(len(pts)), 3):
-        det = (pts[b][0] - pts[a][0]) * (pts[c][1] - pts[a][1]) - (
-            pts[c][0] - pts[a][0]
-        ) * (pts[b][1] - pts[a][1])
-        if det == 0:
-            continue
-        lam = Fraction(
-            (hts[b] - hts[a]) * (pts[c][1] - pts[a][1])
-            - (hts[c] - hts[a]) * (pts[b][1] - pts[a][1]),
-            det,
-        )
-        mu = Fraction(
-            (pts[b][0] - pts[a][0]) * (hts[c] - hts[a])
-            - (pts[c][0] - pts[a][0]) * (hts[b] - hts[a]),
-            det,
-        )
-        return (-lam, -mu)
-    raise InternalConsistencyError("degenerate 2-face in Newton subdivision")
-
-
 def _curve_by_duality(f: TropicalPolynomial) -> TropicalPlaneCurve:
-    if len(f.terms) < 2:
-        return TropicalPlaneCurve((), (), ())
     sub = newton_subdivision(f)
-    duals = [_dual_vertex(sub, face) for face in sub.faces]
-    vertex_set = set(duals)
-
-    adjacency: dict[tuple[int, int], list[int]] = {s: [] for s in sub.segments}
-    for fi, face in enumerate(sub.faces):
-        hull = _convex_hull([sub.support[k] for k in face])
-        idx = {sub.support[k]: k for k in face}
-        for t in range(len(hull)):
-            u, v = idx[hull[t]], idx[hull[(t + 1) % len(hull)]]
-            adjacency[(min(u, v), max(u, v))].append(fi)
-
+    duals = sub.dual_points
     segments = set()
     rays = set()
-    for (u, v), touching in adjacency.items():
+    for (u, v), touching in zip(sub.segments, sub.segment_faces):
         if len(touching) == 2:
             p, q = duals[touching[0]], duals[touching[1]]
             segments.add((min(p, q), max(p, q)))
         elif len(touching) == 1:
-            face = sub.faces[touching[0]]
-            base = duals[touching[0]]
-            pu, pv = sub.support[u], sub.support[v]
-            dx, dy = -(pv[1] - pu[1]), pv[0] - pu[0]
-            pts = [sub.support[k] for k in face]
-            cx = Fraction(sum(x for x, _ in pts), len(pts))
-            cy = Fraction(sum(y for _, y in pts), len(pts))
-            mid = (Fraction(pu[0] + pv[0], 2), Fraction(pu[1] + pv[1], 2))
+            (xu, yu), (xv, yv) = sub.support[u], sub.support[v]
+            dx, dy = yu - yv, xv - xu
             # min convention: the dual ray points along the inward normal
             # of the boundary edge (terms off the edge must stay larger)
-            inward = dx * (cx - mid[0]) + dy * (cy - mid[1])
-            if inward < 0:
+            face = [sub.support[k] for k in sub.faces[touching[0]]]
+            if sum(dx * (x - xu) + dy * (y - yu) for x, y in face) < 0:
                 dx, dy = -dx, -dy
-            rays.add((base, _primitive(dx, dy)))
+            rays.add((duals[touching[0]], _primitive(dx, dy)))
         else:
             # no adjacent 2-face: 1-dimensional support, dual is a full line
-            (iu, ju), vu = f.terms[u]
-            (iv, jv), vv = f.terms[v]
-            di, dj = iu - iv, ju - jv
-            rhs = vv - vu
+            (iu, ju), (iv, jv) = sub.support[u], sub.support[v]
+            di, dj, rhs = iu - iv, ju - jv, sub.heights[v] - sub.heights[u]
             if di != 0:
                 p0 = (Fraction(rhs, di), Fraction(0))
             else:
@@ -434,7 +384,7 @@ def _curve_by_duality(f: TropicalPolynomial) -> TropicalPlaneCurve:
             base, direction = _canonical_line(p0, *_primitive(-dj, di))
             rays.add((base, direction))
             rays.add((base, (-direction[0], -direction[1])))
-    return _assemble(vertex_set, segments, rays)
+    return _assemble(set(duals), segments, rays)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,8 @@ def _refuse_work(*args, **kwargs):
 
 def _unwritable(tmp_path, case):
     """A path under tmp_path that cannot be written, and the expected error."""
+    if case == "empty":
+        return "", "No such file or directory"
     if case == "missing-directory":
         return tmp_path / "missing" / "x.json", "No such file or directory"
     (tmp_path / "out").mkdir()
@@ -335,11 +337,12 @@ def _unwritable(tmp_path, case):
 
 
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("case", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("case", ["missing-directory", "directory", "empty"])
     def test_homology_output_refused_before_work(
         self, capsys, tmp_path, monkeypatch, case
     ):
         monkeypatch.setattr(cli.homology_mod, "reduced_homology", _refuse_work)
+        monkeypatch.chdir(tmp_path)
         target, message = _unwritable(tmp_path, case)
         before = sorted(tmp_path.rglob("*"))
         code, out, err = run(
@@ -354,9 +357,10 @@ class TestUnwritableOutput:
         assert message in err and str(target) in err
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("case", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("case", ["missing-directory", "directory", "empty"])
     def test_plane_svg_refused_before_work(self, capsys, tmp_path, monkeypatch, case):
         monkeypatch.setattr(cli, "tropical_curve", _refuse_work)
+        monkeypatch.chdir(tmp_path)
         poly = tmp_path / "poly.json"
         terms = [{"i": 1, "j": 0, "val": "0"}, {"i": 0, "j": 0, "val": "0"}]
         poly.write_text(json.dumps({"terms": terms}))
@@ -476,3 +480,12 @@ class TestDeterminism:
         code, out, _ = run(capsys, "enumerate", "--genus", "2", "--markings", "0")
         assert code == 0
         assert out.startswith("edges,count")
+
+    def test_empty_output_env_var_means_stdout(self, capsys, monkeypatch):
+        monkeypatch.setenv("TROPMODULI_OUTPUT", "")
+        code, out, err = run(
+            capsys, "enumerate", "--genus", "2", "--markings", "0", "--format", "csv"
+        )
+        assert code == 0
+        assert out.startswith("edges,count")
+        assert err == ""

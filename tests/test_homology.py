@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from tropmoduli import (
+    InternalConsistencyError,
     ResourceBoundExceeded,
     build_chain_complex,
     euler_characteristic,
@@ -281,8 +282,14 @@ class TestResourceBound:
         assert profile.betti(2) == 1
 
 
-class TestDeterminism:
-    def test_thread_count_invariance(self):
-        single = reduced_homology(1, 4, threads=1)
-        threaded = reduced_homology(1, 4, threads=4)
-        assert single == threaded
+class TestConsistencyChecks:
+    def test_negative_betti_number_is_refused(self, monkeypatch):
+        # one rank too many per degree makes b_(-1) = 1 - 0 - 2 negative
+        exact = homology.sparse_integer_rank
+
+        def one_too_many(columns, pivot_rows=None):
+            return exact(columns, pivot_rows) + 1
+
+        monkeypatch.setattr(homology, "sparse_integer_rank", one_too_many)
+        with pytest.raises(InternalConsistencyError, match="negative Betti number"):
+            homology_of_chain(chain_of(1, 3))

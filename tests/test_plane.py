@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmoduli import (
     GraphError,
@@ -249,6 +251,38 @@ class TestDuality:
             assert sorted(r.direction for r in moved_curve.rays) == sorted(
                 r.direction for r in base_curve.rays
             )
+
+
+@st.composite
+def small_polynomials(draw):
+    """1-8 terms in a small box, on a slanted line or on a coordinate axis,
+    with valuations from a small set so that ties are common."""
+    shape = draw(st.sampled_from(["box", "line", "x-axis", "y-axis"]))
+    if shape == "box":
+        points = st.tuples(st.integers(-2, 3), st.integers(-2, 3))
+    elif shape == "line":
+        points = st.integers(-2, 2).map(lambda t: (1 + 2 * t, 3 - t))
+    elif shape == "x-axis":
+        points = st.integers(-3, 4).map(lambda t: (t, 0))
+    else:
+        points = st.integers(-3, 4).map(lambda t: (0, t))
+    support = draw(st.lists(points, min_size=1, max_size=8, unique=True))
+    values = st.sampled_from([Fraction(k, 2) for k in range(-2, 3)])
+    return TropicalPolynomial.from_terms([(e, draw(values)) for e in support])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(small_polynomials())
+def test_routes_agree_and_dual_points_tie_their_faces(f):
+    curve = tropical_curve(f)  # raises unless both routes give this curve
+    sub = newton_subdivision(f)
+    assert len(curve.vertices) == len(sub.faces) == len(sub.dual_points)
+    for face, point in zip(sub.faces, sub.dual_points):
+        _, achievers = f.evaluate(point)
+        assert achievers == {sub.support[k] for k in face}
+    touching = [len(faces) for faces in sub.segment_faces]
+    assert len(curve.segments) == touching.count(2)
+    assert len(curve.rays) == touching.count(1) + 2 * touching.count(0)
 
 
 class TestValidationAndOutput:
