@@ -36,7 +36,7 @@ from .errors import (
     UnstableTypeError,
 )
 from .metric import StableModelDescription, tropicalize_model
-from .plane import TropicalPolynomial, newton_subdivision, render_svg, tropical_curve
+from .plane import TropicalPolynomial, _tropical_curve, newton_subdivision, render_svg
 
 _DOMAIN_ERRORS = (
     GraphError,
@@ -331,8 +331,8 @@ def _run_tropicalize_model(args) -> None:
 def _run_tropicalize_plane(args) -> None:
     data = _load_json(args.poly, GraphError)
     poly = TropicalPolynomial.from_json_dict(data)
-    curve = tropical_curve(poly)
     sub = newton_subdivision(poly)
+    curve = _tropical_curve(poly, sub)
     if args.svg is not None:
         parts = [p.strip() for p in args.viewport.split(",")]
         try:

@@ -5,17 +5,35 @@ adds one edge, either by trading a unit of vertex weight for a loop or by
 splitting a vertex and distributing its half-edges, weight, and markings
 between the two halves.  Contracting the new edge undoes the move, and every
 stable type contracts edge-by-edge to the one-vertex type, so the sweep is
-complete.  Duplicates are removed by canonical encoding at each level.
+complete.
+
+Only candidates that pass a cheap acceptance test are canonicalized (the
+necessary-condition half of McKay's canonical augmentation, *Isomorph-free
+exhaustive generation*, 1998).  A candidate's new edge is always its last
+edge, and it is accepted only when that edge carries the largest edge
+invariant among all of its edges.  The invariant of an edge is the sorted
+pair of its endpoints' start colors (weight, marking bitmask, valence, loop
+count), which an isomorphism preserves.  No type is lost: take any edge e of
+a type T with the largest invariant.  Contracting e gives a stable type of
+the previous level, and expanding that type's canonical form regrows T with e
+as the new edge.  (When the split that does so is skipped as a mirror image,
+the mirror split is generated, and it regrows T with e as the new edge too,
+its two ends swapped.)  The isomorphism to T preserves invariants, so that
+candidate is accepted.  A type can still be reached through several
+accepted candidates, so each level keeps a set of canonical keys to remove
+the rest.
 
 The catalog order (edge count, then canonical encoding) is part of the
 external contract: golden files depend on it.
 
 The sweep also checks purity: a type with fewer than 3g - 3 + n edges and
 no stable one-edge expansion would be a maximal cone of too low a dimension.
+Purity is read from the expansions before the acceptance test, because many
+types have expansions but none of them accepted.
 
 The level expansion works on bare (weights, edges, markings) tuples; for a
-case like (0, 9) the sweep canonicalizes a few million candidates, and
-object construction would dominate the runtime.
+case like (0, 9) the sweep canonicalizes hundreds of thousands of
+candidates, and object construction would dominate the runtime.
 """
 
 from __future__ import annotations
@@ -23,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, UnstableTypeError
-from .graphs import WeightedMarkedGraph, _canonical_raw
+from .graphs import WeightedMarkedGraph, _canonical_raw, _start_colors
 from .parallel import parallel_map
 
 
@@ -141,15 +159,37 @@ def has_expansion(g: WeightedMarkedGraph) -> bool:
     return bool(_expand_raw(g.weights, g.edges, g.markings))
 
 
+def _new_edge_is_maximal(weights, edges, markings) -> bool:
+    """Whether the last edge, the one the expansion added, carries the
+    largest edge invariant: the sorted pair of its endpoints' start colors."""
+    colors = _start_colors(weights, edges, markings)
+    a, b = colors[edges[-1][0]], colors[edges[-1][1]]
+    new = (a, b) if a <= b else (b, a)
+    for u, v in edges:
+        a, b = colors[u], colors[v]
+        if ((a, b) if a <= b else (b, a)) > new:
+            return False
+    return True
+
+
 def _expand_to_keys(key):
-    return [_canonical_raw(*cand)[0] for cand in _expand_raw(*key)]
+    """Whether a type has any stable one-edge expansion, and the canonical
+    keys of its accepted expansions."""
+    candidates = _expand_raw(*key)
+    keys = [_canonical_raw(*c)[0] for c in candidates if _new_edge_is_maximal(*c)]
+    return bool(candidates), keys
 
 
 def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
     """Complete, duplicate-free and pure catalog of stable (g, n) types.
 
+    Each level canonicalizes only the expansions whose new edge has the
+    largest edge invariant (see the module docstring for why no type is
+    lost) and keeps the distinct keys, sorted by their encoding.
+
     Raises InternalConsistencyError for the first type, in catalog order,
-    that has fewer than 3g - 3 + n edges and no expansion.
+    that has fewer than 3g - 3 + n edges and no expansion.  This reads the
+    unfiltered expansions: a type may have expansions but none accepted.
     """
     require_stable_range(g, n)
     top = max_edges(g, n)
@@ -159,8 +199,8 @@ def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
         # threads reaches perfbench/tracer.py, whose self-test counts pooled calls
         batches = parallel_map(_expand_to_keys, level_keys[-1], threads=threads)
         found = set()
-        for key, batch in zip(level_keys[-1], batches):
-            if not batch:
+        for key, (expandable, batch) in zip(level_keys[-1], batches):
+            if not expandable:
                 raise InternalConsistencyError(
                     f"purity violation at (g, n) = ({g}, {n}): maximal type "
                     f"{key} has {edges} edges, expected {top}"

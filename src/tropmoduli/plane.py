@@ -355,8 +355,7 @@ def newton_subdivision(f: TropicalPolynomial) -> NewtonSubdivision:
     )
 
 
-def _curve_by_duality(f: TropicalPolynomial) -> TropicalPlaneCurve:
-    sub = newton_subdivision(f)
+def _curve_by_duality(sub: NewtonSubdivision) -> TropicalPlaneCurve:
     duals = sub.dual_points
     segments = set()
     rays = set()
@@ -414,8 +413,15 @@ def _assemble(vertex_set, segment_set, ray_set) -> TropicalPlaneCurve:
 
 def tropical_curve(f: TropicalPolynomial) -> TropicalPlaneCurve:
     """Corner locus of f, computed by both routes and cross-validated."""
+    return _tropical_curve(f, newton_subdivision(f))
+
+
+def _tropical_curve(
+    f: TropicalPolynomial, sub: NewtonSubdivision
+) -> TropicalPlaneCurve:
+    """tropical_curve(f), with the Newton subdivision of f already built."""
     by_bisectors = _curve_by_bisectors(f)
-    by_duality = _curve_by_duality(f)
+    by_duality = _curve_by_duality(sub)
     if by_bisectors != by_duality:
         raise InternalConsistencyError(
             "bisector arrangement and Newton duality disagree: "

@@ -25,6 +25,11 @@ One reference keeps the package's exact rank as it was before its pivot
 heap: each pivot row is found by a scan over every occupied row.  The
 package must pick the same pivot rows in the same order.
 
+One reference keeps the package's enumeration sweep as it was before the
+canonical-augmentation test: every one-edge expansion of every type is
+canonicalized (with the package's labeling, which the reference above
+pins).  The package must produce the same levels in the same order.
+
 Graphs are plain tuples (weights, edges, markings) in the same convention
 as the package: edges are sorted pairs, markings map label k to a vertex.
 """
@@ -403,3 +408,91 @@ def reference_sparse_integer_rank(columns):
         pivot_rows.append(c)
         rank += 1
     return rank, pivot_rows
+
+
+def _reference_split_moves(weights, edges, markings, v, collect):
+    slots = []  # (edge index, side) with that endpoint at v
+    for idx, (a, b) in enumerate(edges):
+        if a == v:
+            slots.append((idx, 0))
+        if b == v:
+            slots.append((idx, 1))
+    marks_here = [k for k, mv in enumerate(markings) if mv == v]
+    w = weights[v]
+    nv = len(weights)
+    h, m = len(slots), len(marks_here)
+    full_slots = (1 << h) - 1
+    full_marks = (1 << m) - 1
+    for slot_bits in range(1 << h):
+        kept_slots = h - slot_bits.bit_count()
+        for mark_bits in range(1 << m):
+            kept_marks = m - mark_bits.bit_count()
+            moved_marks = m - kept_marks
+            for w_new in range(w + 1):
+                mirror = (full_slots - slot_bits, full_marks - mark_bits, w - w_new)
+                if (slot_bits, mark_bits, w_new) > mirror:
+                    continue
+                # stability only changes at the two halves
+                if 2 * (w - w_new) - 2 + kept_slots + 1 + kept_marks <= 0:
+                    continue
+                if 2 * w_new - 2 + (h - kept_slots) + 1 + moved_marks <= 0:
+                    continue
+                new_edges = list(edges)
+                edits: dict[int, int] = {}
+                for bit, (idx, side) in enumerate(slots):
+                    if slot_bits >> bit & 1:
+                        edits[idx] = edits.get(idx, 0) | (1 << side)
+                for idx, sides in edits.items():
+                    a, b = edges[idx]
+                    if sides & 1:
+                        a = nv
+                    if sides & 2:
+                        b = nv
+                    new_edges[idx] = (a, b) if a <= b else (b, a)
+                new_edges.append((v, nv))
+                new_weights = weights[:v] + (w - w_new,) + weights[v + 1:] + (w_new,)
+                new_markings = list(markings)
+                for bit, k in enumerate(marks_here):
+                    if mark_bits >> bit & 1:
+                        new_markings[k] = nv
+                collect((new_weights, tuple(new_edges), tuple(new_markings)))
+
+
+def _reference_expand_raw(weights, edges, markings):
+    seen = set()
+    out = []
+
+    def collect(candidate):
+        if candidate not in seen:
+            seen.add(candidate)
+            out.append(candidate)
+
+    for v, w in enumerate(weights):
+        if w >= 1:
+            collect(
+                (
+                    weights[:v] + (w - 1,) + weights[v + 1:],
+                    edges + ((v, v),),
+                    markings,
+                )
+            )
+    for v in range(len(weights)):
+        _reference_split_moves(weights, edges, markings, v, collect)
+    return out
+
+
+def reference_enumerate_keys(g, n):
+    """Canonical keys of the stable (g, n) types, one list per edge count,
+    from the sweep that canonicalizes every expansion."""
+    from tropmoduli.graphs import _canonical_raw
+
+    top = 3 * g - 3 + n
+    level_keys = [[((g,), (), (0,) * n)]]
+    for _ in range(top):
+        found = set()
+        for key in level_keys[-1]:
+            batch = [_canonical_raw(*c)[0] for c in _reference_expand_raw(*key)]
+            assert batch, f"maximal type {key} below the top level"
+            found.update(batch)
+        level_keys.append(sorted(found, key=repr))
+    return level_keys

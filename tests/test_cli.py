@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from tropmoduli import cli
+from tropmoduli import cli, plane
 from tropmoduli.cli import dispatch
 from tropmoduli.errors import ResourceBoundExceeded
 
@@ -291,6 +292,34 @@ class TestTropicalizePlaneCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_conic_builds_one_subdivision(self, capsys, tmp_path, monkeypatch):
+        # heights i^2 + ij + j^2 cut the conic's support into four unit
+        # triangles, so the curve has four vertices and six rays
+        poly = tmp_path / "conic.json"
+        heights = {(2, 0): 4, (1, 1): 3, (0, 2): 4, (1, 0): 1, (0, 1): 1, (0, 0): 0}
+        terms = [{"i": i, "j": j, "val": str(v)} for (i, j), v in heights.items()]
+        poly.write_text(json.dumps({"terms": terms}))
+        calls = []
+        original = plane.newton_subdivision
+
+        def counted(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(cli, "newton_subdivision", counted)
+        monkeypatch.setattr(plane, "newton_subdivision", counted)
+        svg = tmp_path / "conic.svg"
+        code, out, _ = run(capsys, "tropicalize-plane", str(poly), "--svg", str(svg))
+        assert code == 0
+        assert len(calls) == 1
+        # the bytes printed while the subdivision was still built twice
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "87a74d64ee73c944e85bf4c7ccd04edd430e43bb4f0de65bed8da101d8335fc0"
+        )
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "74be7ac7827603bea3435066cfd84e53296d54dfbf079f257caba8f2a2e698ba"
+        )
+
     def test_bad_viewport(self, capsys, poly_file, tmp_path):
         svg = tmp_path / "x.svg"
         for flag, value, code in [
@@ -359,7 +388,7 @@ class TestUnwritableOutput:
 
     @pytest.mark.parametrize("case", ["missing-directory", "directory", "empty"])
     def test_plane_svg_refused_before_work(self, capsys, tmp_path, monkeypatch, case):
-        monkeypatch.setattr(cli, "tropical_curve", _refuse_work)
+        monkeypatch.setattr(cli, "newton_subdivision", _refuse_work)
         monkeypatch.chdir(tmp_path)
         poly = tmp_path / "poly.json"
         terms = [{"i": 1, "j": 0, "val": "0"}, {"i": 0, "j": 0, "val": "0"}]

@@ -11,7 +11,7 @@ from tropmoduli import (
     max_edges,
 )
 
-from oracles import are_isomorphic, brute_force_catalog
+from oracles import are_isomorphic, brute_force_catalog, reference_enumerate_keys
 
 
 class TestPublishedCounts:
@@ -102,6 +102,41 @@ class TestDeterminism:
             for t in catalog.strata
         ]
         assert seen == sorted(seen)
+
+
+def _levels(catalog):
+    levels = [[] for _ in catalog.f_vector]
+    for t in catalog.strata:
+        levels[t.num_edges].append((t.weights, t.edges, t.markings))
+    return levels
+
+
+class TestCanonicalAugmentation:
+    @pytest.mark.parametrize(
+        "g,n",
+        [(0, 6), (0, 7), (1, 4), (1, 5), (2, 3), (2, 4), (3, 0), (3, 2), (4, 1)],
+    )
+    def test_levels_match_unfiltered_sweep(self, g, n):
+        # same keys in the same order as canonicalizing every expansion
+        assert _levels(enumerate_types(g, n)) == reference_enumerate_keys(g, n)
+
+    @pytest.mark.parametrize("g,n", [(1, 4), (2, 3), (3, 2), (0, 7)])
+    def test_marking_permutations_map_catalog_onto_itself(self, g, n):
+        # S_n acts on the types by relabelling markings; a type lost by the
+        # acceptance test would show up as a missing image of its orbit
+        strata = enumerate_types(g, n).strata
+        keys = {t.canonical_key() for t in strata}
+        assert len(keys) == len(strata)
+        transposition = (1, 0) + tuple(range(2, n))
+        cycle = tuple(range(1, n)) + (0,)
+        for sigma in (transposition, cycle):
+            image = {
+                WeightedMarkedGraph(
+                    t.weights, t.edges, tuple(t.markings[sigma[k]] for k in range(n))
+                ).canonical_key()
+                for t in strata
+            }
+            assert image == keys
 
 
 class TestBruteForceAgreement:
