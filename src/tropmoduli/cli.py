@@ -312,7 +312,8 @@ def _load_json(path: str, error_cls):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        # ValueError covers bad UTF-8 and integers over the digit limit
+        except (ValueError, RecursionError) as exc:
             raise error_cls(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -159,10 +159,9 @@ def has_expansion(g: WeightedMarkedGraph) -> bool:
     return bool(_expand_raw(g.weights, g.edges, g.markings))
 
 
-def _new_edge_is_maximal(weights, edges, markings) -> bool:
+def _new_edge_is_maximal(edges, colors) -> bool:
     """Whether the last edge, the one the expansion added, carries the
     largest edge invariant: the sorted pair of its endpoints' start colors."""
-    colors = _start_colors(weights, edges, markings)
     a, b = colors[edges[-1][0]], colors[edges[-1][1]]
     new = (a, b) if a <= b else (b, a)
     for u, v in edges:
@@ -174,9 +173,14 @@ def _new_edge_is_maximal(weights, edges, markings) -> bool:
 
 def _expand_to_keys(key):
     """Whether a type has any stable one-edge expansion, and the canonical
-    keys of its accepted expansions."""
+    keys of its accepted expansions.  Each candidate's start colors are
+    computed once, for the acceptance test and the labeling alike."""
     candidates = _expand_raw(*key)
-    keys = [_canonical_raw(*c)[0] for c in candidates if _new_edge_is_maximal(*c)]
+    keys = []
+    for c in candidates:
+        colors = _start_colors(*c)
+        if _new_edge_is_maximal(c[1], colors):
+            keys.append(_canonical_raw(*c, start=colors)[0])
     return bool(candidates), keys
 
 

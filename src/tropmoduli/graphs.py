@@ -15,10 +15,11 @@ The two nontrivial algorithms live here:
   labeling is read off by sorting them: no adjacency, refinement or
   search.  Otherwise refinement stops as soon as a round splits no class,
   and a partition that refinement makes discrete is encoded at once;
-* the edge-permutation image of the automorphism group, computed exactly
-  from the same search: the vertex automorphisms are the relabelings
-  between its minimal leaves, each combined with all compatible matchings
-  of parallel edges.
+* the order and parity of the edge-permutation image of the automorphism
+  group, counted from the same search without listing its elements: the
+  vertex automorphisms are the relabelings between its minimal leaves, and
+  each class of k parallel edges adds a factor k! and, for k >= 2, a
+  transposition.
 
 Loops deserve care throughout: a loop counts twice toward valence, a loop
 flip is an automorphism whose induced edge permutation is the identity, and
@@ -27,7 +28,7 @@ contracting a loop raises the base vertex's weight by one.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import GraphError
@@ -191,17 +192,35 @@ class WeightedMarkedGraph:
         """Image of the automorphism group in the symmetric group on edges.
 
         Automorphisms preserve weights and fix every marking pointwise.  The
-        image is computed exactly: the vertex automorphisms are the
+        group is counted, not listed.  Its vertex automorphisms are the
         relabelings between the minimal leaves of the canonical labeling
-        search, each is combined with every matching of parallel edge
-        classes, and the resulting edge permutations are collected.  Loop
-        flips induce the identity and hence never appear as nontrivial
-        permutations.
+        search; each permutes the parallel-edge classes (the edges with one
+        endpoint pair), and every permutation within the classes is an
+        automorphism too.  So the order is the number of distinct induced
+        class permutations times the product of k! over class sizes k, and
+        an odd element exists iff some class has two edges (they swap to a
+        transposition) or some induced class permutation is odd.  Loop flips
+        induce the identity.
         """
-        elements = _edge_permutation_image(self)
+        sizes: dict[Edge, int] = {}
+        for e in self.edges:
+            sizes[e] = sizes.get(e, 0) + 1
+        index = {pair: i for i, pair in enumerate(sizes)}
+        _, leaves = _minimal_leaves(self.weights, self.edges, self.markings)
+        back = _positions(leaves[0])
+        images = {tuple(range(len(sizes)))}  # the first leaf gives the identity
+        for leaf in leaves[1:]:
+            sigma = [back[p] for p in leaf]
+            images.add(
+                tuple(
+                    index[(a, b) if a <= b else (b, a)]
+                    for a, b in ((sigma[u], sigma[v]) for u, v in sizes)
+                )
+            )
         return EdgeAutomorphismGroup(
-            order=len(elements),
-            has_odd_element=any(perm_sign(p) == -1 for p in elements),
+            order=len(images) * math.prod(map(math.factorial, sizes.values())),
+            has_odd_element=any(k > 1 for k in sizes.values())
+            or any(perm_sign(p) == -1 for p in images),
         )
 
     # -- serialization ------------------------------------------------------------
@@ -286,7 +305,8 @@ class GraphIsoCertificate:
 
 @dataclass(frozen=True)
 class EdgeAutomorphismGroup:
-    """Edge permutations induced by automorphisms of (G, m, w)."""
+    """Order and parity of the edge permutations induced by automorphisms
+    of (G, m, w)."""
 
     order: int
     has_odd_element: bool
@@ -412,16 +432,25 @@ def _encode_raw(weights, edges, markings, pos):
     return tuple(new_weights), tuple(new_edges), tuple(pos[m] for m in markings)
 
 
-def _search(weights, edges, markings, start):
-    """Refinement plus individualization of every vertex of the first
-    non-singleton class, at every node.  Returns the minimal encoding and
-    the positions (old vertex -> new vertex) of every leaf reaching it, in
-    search order.  Automorphisms permute the leaves, and two minimal leaves
+def _minimal_leaves(weights, edges, markings, start=None):
+    """Minimal encoding over all admissible labelings, and the positions
+    (old vertex -> new vertex) of every leaf reaching it, in search order.
+
+    start holds the start colors when the caller has them already.  When
+    they are pairwise distinct, refinement cannot reorder them, so the order
+    sorted by start color is the only leaf.  Otherwise refinement plus
+    individualization of every vertex of the first non-singleton class, at
+    every node.  Automorphisms permute the leaves, and two minimal leaves
     differ by exactly one automorphism; so the leaves give the whole group
     only while the tree stays unpruned.  A pruned search must collect
     automorphism generators instead.
     """
+    if start is None:
+        start = _start_colors(weights, edges, markings)
     nv = len(weights)
+    if len(set(start)) == nv:
+        pos = _positions(sorted(range(nv), key=start.__getitem__))
+        return _encode_raw(weights, edges, markings, pos), [pos]
     adj = _adjacency(nv, edges)
     best = None
     leaves: list = []
@@ -451,62 +480,8 @@ def _search(weights, edges, markings, start):
     return best, leaves
 
 
-def _canonical_raw(weights, edges, markings):
-    """Minimal encoding over all admissible labelings, via refinement plus
-    individualization of the first non-singleton class.  Returns the key
-    (the canonically relabeled triple) and one vertex order realizing it.
-
-    When the start colors are already pairwise distinct, refinement cannot
-    reorder them, so the order sorted by start color is the only leaf.
-    """
-    nv = len(weights)
-    if nv == 1:
-        return (weights, tuple(sorted(edges)), markings), (0,)
-    start = _start_colors(weights, edges, markings)
-    if len(set(start)) == nv:
-        order = sorted(range(nv), key=start.__getitem__)
-        return _encode_raw(weights, edges, markings, _positions(order)), tuple(order)
-    key, leaves = _search(weights, edges, markings, start)
+def _canonical_raw(weights, edges, markings, start=None):
+    """The key (the canonically relabeled triple) and one vertex order
+    realizing it; start as in _minimal_leaves."""
+    key, leaves = _minimal_leaves(weights, edges, markings, start)
     return key, _positions(leaves[0])  # inverting the positions gives the order
-
-
-# ---------------------------------------------------------------------------
-# automorphism machinery
-# ---------------------------------------------------------------------------
-
-
-def _vertex_automorphisms(g: WeightedMarkedGraph):
-    """All vertex bijections preserving weights, markings pointwise, and the
-    edge multiset: the relabelings between the minimal leaves of the
-    labeling search.  Start colors are invariants, so when they are pairwise
-    distinct the identity is the only one."""
-    start = _start_colors(g.weights, g.edges, g.markings)
-    if len(set(start)) == len(start):
-        return [tuple(range(len(start)))]
-    _, leaves = _search(g.weights, g.edges, g.markings, start)
-    back = _positions(leaves[0])
-    return [tuple(back[p] for p in leaf) for leaf in leaves]
-
-
-def _edge_permutation_image(g: WeightedMarkedGraph) -> frozenset:
-    """All edge permutations arising from some automorphism."""
-    by_pair: dict[Edge, list[int]] = {}
-    for idx, e in enumerate(g.edges):
-        by_pair.setdefault(e, []).append(idx)
-    pairs = sorted(by_pair)
-    elements = set()
-    for sigma in _vertex_automorphisms(g):
-        target_lists = []
-        for pair in pairs:
-            u, v = sigma[pair[0]], sigma[pair[1]]
-            image = (u, v) if u <= v else (v, u)
-            target_lists.append(by_pair[image])
-        for assignment in itertools.product(
-            *[itertools.permutations(t) for t in target_lists]
-        ):
-            phi = [0] * g.num_edges
-            for pair, images in zip(pairs, assignment):
-                for src, dst in zip(by_pair[pair], images):
-                    phi[src] = dst
-            elements.add(tuple(phi))
-    return frozenset(elements)

@@ -337,6 +337,23 @@ class TestTropicalizePlaneCommand:
             assert flag.lstrip("-") in err.splitlines()[-1]
 
 
+class TestUnreadableJson:
+    @pytest.mark.parametrize("command", ["tropicalize-model", "tropicalize-plane"])
+    @pytest.mark.parametrize(
+        "payload",
+        [b'{"terms": "\xff\xfe"}', b"[" * 100_000, b"1" * 5_000],
+        ids=["not-utf8", "deep-nesting", "huge-integer"],
+    )
+    def test_one_error_line(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "input.json"
+        path.write_bytes(payload)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not valid JSON" in err
+
+
 class TestOutputFile:
     def test_write_to_path(self, capsys, tmp_path):
         target = tmp_path / "out.json"

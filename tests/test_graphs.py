@@ -1,11 +1,12 @@
 import functools
 import itertools
 import json
+import math
 import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropmoduli import GraphError, WeightedMarkedGraph, enumerate_types
@@ -213,6 +214,34 @@ def test_relabeling_keeps_key_and_encoding(pair):
     )
 
 
+@st.composite
+def stable_graphs(draw):
+    """A connected stable graph in an arbitrary labeling: a random spanning
+    tree plus extra edges, loops and parallel edges included."""
+    nv = draw(st.integers(1, 5))
+    vertex = st.integers(0, nv - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    for _ in range(draw(st.integers(0, 4))):
+        edges.append(tuple(sorted((draw(vertex), draw(vertex)))))
+    weights = draw(st.lists(st.integers(0, 2), min_size=nv, max_size=nv))
+    markings = draw(st.lists(vertex, max_size=4))
+    graph = WeightedMarkedGraph(
+        tuple(weights), tuple(draw(st.permutations(edges))), tuple(markings)
+    )
+    assume(graph.is_stable())
+    return graph
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stable_graphs())
+def test_contraction_keeps_genus_markings_and_stability(graph):
+    for e in range(graph.num_edges):
+        image = graph.contract(e)
+        assert image.genus() == graph.genus()
+        assert image.num_markings == graph.num_markings
+        assert image.is_stable()
+
+
 def random_graph(rng):
     """Random small connected multigraph, stable or not."""
     while True:
@@ -252,7 +281,9 @@ class TestCanonicalSeparation:
             oracle = exhaustive_edge_permutations(
                 graph.weights, graph.edges, graph.markings
             )
-            assert graph.automorphisms().order == len(oracle)
+            group = graph.automorphisms()
+            assert group.order == len(oracle)
+            assert group.has_odd_element == any(_sign(p) == -1 for p in oracle)
 
 
 class TestAutomorphisms:
@@ -293,6 +324,26 @@ class TestAutomorphisms:
         group = WeightedMarkedGraph((2,), (), ()).automorphisms()
         assert group.order == 1
         assert not group.has_odd_element
+
+    # closed forms far beyond the exhaustive oracle: 12! is 479,001,600
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_parallel_edges_and_loops_in_closed_form(self, k):
+        # the vertex swap of a banana fixes every edge, so only k! remains
+        for markings in [(), (0,)]:
+            group = WeightedMarkedGraph((0, 0), ((0, 1),) * k, markings).automorphisms()
+            assert group.order == math.factorial(k)
+            assert group.has_odd_element == (k >= 2)
+        group = WeightedMarkedGraph((0,), ((0, 0),) * k, ()).automorphisms()
+        assert group.order == math.factorial(k)
+        assert group.has_odd_element == (k >= 2)
+        # a loop at each end makes the vertex swap act: it swaps the loops
+        ends = ((0, 0), (1, 1)) + ((0, 1),) * k
+        group = WeightedMarkedGraph((0, 0), ends, ()).automorphisms()
+        assert group.order == 2 * math.factorial(k)
+        assert group.has_odd_element
+        group = WeightedMarkedGraph((0, 0), ends, (0,)).automorphisms()
+        assert group.order == math.factorial(k)
+        assert group.has_odd_element == (k >= 2)
 
     def test_theta_group_is_every_edge_permutation(self, theta):
         group = theta.automorphisms()
