@@ -114,13 +114,13 @@ def build_poset(g: int, n: int) -> FacePoset:
     distinct contracted triple is canonicalized once.
     """
     catalog = enumerate_types(g, n)
-    index = {(t.weights, t.edges, t.markings): i for i, t in enumerate(catalog.strata)}
+    index = {key: i for i, key in enumerate(catalog.keys)}
     landing: dict = {}  # contracted triple -> (target index, relabeling sign)
     covers = []
     signs = []
-    for i, t in enumerate(catalog.strata):
-        for e in range(t.num_edges):
-            contracted = _contract_raw(t.weights, t.edges, t.markings, e)
+    for i, triple in enumerate(catalog.keys):
+        for e in range(len(triple[1])):
+            contracted = _contract_raw(*triple, e)
             hit = landing.get(contracted)
             if hit is None:
                 key, order = _canonical_raw(*contracted)

@@ -7,38 +7,51 @@ between the two halves.  Contracting the new edge undoes the move, and every
 stable type contracts edge-by-edge to the one-vertex type, so the sweep is
 complete.
 
-Only candidates that pass a cheap acceptance test are canonicalized (the
-necessary-condition half of McKay's canonical augmentation, *Isomorph-free
-exhaustive generation*, 1998).  A candidate's new edge is always its last
-edge, and it is accepted only when that edge carries the largest edge
-invariant among all of its edges.  The invariant of an edge is the sorted
-pair of its endpoints' start colors (weight, marking bitmask, valence, loop
-count), which an isomorphism preserves.  No type is lost: take any edge e of
-a type T with the largest invariant.  Contracting e gives a stable type of
-the previous level, and expanding that type's canonical form regrows T with e
-as the new edge.  (When the split that does so is skipped as a mirror image,
-the mirror split is generated, and it regrows T with e as the new edge too,
-its two ends swapped.)  The isomorphism to T preserves invariants, so that
-candidate is accepted.  A type can still be reached through several
-accepted candidates, so each level keeps a set of canonical keys to remove
-the rest.
+Only candidates that pass a cheap acceptance test are built and
+canonicalized (the necessary-condition half of McKay's canonical
+augmentation, *Isomorph-free exhaustive generation*, 1998).  A candidate's
+new edge is always its last edge, and it is accepted only when that edge
+carries the largest edge invariant among all of its edges.  The invariant of
+an edge is the sorted pair of its endpoints' start colors (weight, marking
+bitmask, valence, loop count), which an isomorphism preserves.  No type is
+lost: take any edge e of a type T with the largest invariant.  Contracting e
+gives a stable type of the previous level, and expanding that type's
+canonical form regrows T with e as the new edge.  (When the split that does
+so is skipped as a mirror image, the mirror split is generated, and it
+regrows T with e as the new edge too, its two ends swapped.)  The
+isomorphism to T preserves invariants, so that candidate is accepted.  A
+type can still be reached through several accepted candidates, so each
+level keeps a set of canonical keys to remove the rest.
+
+The test reads colors, not candidate tuples.  A loop move changes only v's
+color; a split changes only v's and gives the new vertex one, each half with
+its weight, markings, loops and half-edges plus the new edge.  Edges away
+from v keep their invariants.  An invariant grows with either end's color,
+so an edge re-attached to one half stays at or below the new edge iff its
+far end's color is at most the other half's, and a loop on a half iff that
+half's color is at most the other's.  Stability bounds the new vertex's
+weight in closed form: at least 1 if at most one half-edge or marking moves,
+at most w - 1 if at most one stays.  A split and its mirror (every choice
+flipped) are isomorphic, and exactly one of the two keeps the last half-edge
+at v, so 2**(h-1) half-edge choices are tried at a vertex with h >= 1.
+Bounds on the halves' colors skip a vertex whose splits cannot beat the
+largest edge away from it or the far end of an edge at it.
 
 The catalog order (edge count, then canonical encoding) is part of the
 external contract: golden files depend on it.
 
-The sweep also checks purity: a type with fewer than 3g - 3 + n edges and
-no stable one-edge expansion would be a maximal cone of too low a dimension.
-Purity is read from the expansions before the acceptance test, because many
-types have expansions but none of them accepted.
+Purity is checked in closed form: a type below 3g - 3 + n edges is
+maximal, a cone of too low a dimension, unless some vertex has positive
+weight or four or more half-edges and markings.
 
-The level expansion works on bare (weights, edges, markings) tuples; for a
-case like (0, 9) the sweep canonicalizes hundreds of thousands of
-candidates, and object construction would dominate the runtime.
+The sweep and the catalog keep bare (weights, edges, markings) tuples;
+graph objects are built only when the catalog's strata are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalConsistencyError, UnstableTypeError
 from .graphs import WeightedMarkedGraph, _canonical_raw, _start_colors
@@ -51,12 +64,17 @@ class TypeCatalog:
 
     g: int
     n: int
-    strata: tuple[WeightedMarkedGraph, ...]
+    keys: tuple[tuple, ...]  # canonical (weights, edges, markings), catalog order
     f_vector: tuple[int, ...]  # counts by edge number, 0 .. 3g-3+n
+
+    @cached_property
+    def strata(self) -> tuple[WeightedMarkedGraph, ...]:
+        """The types as graphs, built on first read."""
+        return tuple(WeightedMarkedGraph(*key) for key in self.keys)
 
     @property
     def count(self) -> int:
-        return len(self.strata)
+        return len(self.keys)
 
 
 def require_stable_range(g: int, n: int) -> None:
@@ -76,112 +94,133 @@ def cone_point(g: int, n: int) -> WeightedMarkedGraph:
     return WeightedMarkedGraph((g,), (), (0,) * n)
 
 
-def _split_moves(weights, edges, markings, v, collect):
-    """One-edge expansions splitting vertex v into an edge v -- v'.
-
-    Chooses which incident half-edges, how much weight, and which markings
-    move to the new vertex; mirror-image choices are generated once since
-    swapping the two halves gives an isomorphic result.
-    """
-    slots = []  # (edge index, side) with that endpoint at v
-    for idx, (a, b) in enumerate(edges):
-        if a == v:
-            slots.append((idx, 0))
-        if b == v:
-            slots.append((idx, 1))
-    marks_here = [k for k, mv in enumerate(markings) if mv == v]
-    w = weights[v]
-    nv = len(weights)
-    h, m = len(slots), len(marks_here)
-    full_slots = (1 << h) - 1
-    full_marks = (1 << m) - 1
-    for slot_bits in range(1 << h):
-        kept_slots = h - slot_bits.bit_count()
-        for mark_bits in range(1 << m):
-            kept_marks = m - mark_bits.bit_count()
-            moved_marks = m - kept_marks
-            for w_new in range(w + 1):
-                mirror = (full_slots - slot_bits, full_marks - mark_bits, w - w_new)
-                if (slot_bits, mark_bits, w_new) > mirror:
-                    continue
-                # stability only changes at the two halves
-                if 2 * (w - w_new) - 2 + kept_slots + 1 + kept_marks <= 0:
-                    continue
-                if 2 * w_new - 2 + (h - kept_slots) + 1 + moved_marks <= 0:
-                    continue
-                new_edges = list(edges)
-                edits: dict[int, int] = {}
-                for bit, (idx, side) in enumerate(slots):
-                    if slot_bits >> bit & 1:
-                        edits[idx] = edits.get(idx, 0) | (1 << side)
-                for idx, sides in edits.items():
-                    a, b = edges[idx]
-                    if sides & 1:
-                        a = nv
-                    if sides & 2:
-                        b = nv
-                    new_edges[idx] = (a, b) if a <= b else (b, a)
-                new_edges.append((v, nv))
-                new_weights = weights[:v] + (w - w_new,) + weights[v + 1:] + (w_new,)
-                new_markings = list(markings)
-                for bit, k in enumerate(marks_here):
-                    if mark_bits >> bit & 1:
-                        new_markings[k] = nv
-                collect((new_weights, tuple(new_edges), tuple(new_markings)))
-
-
-def _expand_raw(weights, edges, markings):
-    """All stable one-edge expansions of a type, as raw tuples."""
-    seen = set()
-    out = []
-
-    def collect(candidate):
-        if candidate not in seen:
-            seen.add(candidate)
-            out.append(candidate)
-
-    for v, w in enumerate(weights):
-        if w >= 1:
-            collect(
-                (
-                    weights[:v] + (w - 1,) + weights[v + 1:],
-                    edges + ((v, v),),
-                    markings,
-                )
-            )
-    for v in range(len(weights)):
-        _split_moves(weights, edges, markings, v, collect)
-    return out
+def _expandable(colors) -> bool:
+    """Whether a type with these start colors has a stable one-edge
+    expansion: some vertex has weight >= 1 (trade a unit for a loop) or
+    valence plus markings >= 4 (split with two of them on each side).
+    Otherwise every vertex has weight 0 and carries exactly three, and any
+    split leaves a side with at most one of them and no weight: unstable."""
+    return any(w or val + marks.bit_count() >= 4 for w, marks, val, _ in colors)
 
 
 def has_expansion(g: WeightedMarkedGraph) -> bool:
     """Whether any stable one-edge expansion exists (g is not maximal)."""
-    return bool(_expand_raw(g.weights, g.edges, g.markings))
+    return _expandable(_start_colors(g.weights, g.edges, g.markings))
 
 
-def _new_edge_is_maximal(edges, colors) -> bool:
-    """Whether the last edge, the one the expansion added, carries the
-    largest edge invariant: the sorted pair of its endpoints' start colors."""
-    a, b = colors[edges[-1][0]], colors[edges[-1][1]]
-    new = (a, b) if a <= b else (b, a)
-    for u, v in edges:
-        a, b = colors[u], colors[v]
-        if ((a, b) if a <= b else (b, a)) > new:
-            return False
-    return True
+def _pair(a, b):
+    """Edge invariant: the sorted pair of its endpoints' start colors."""
+    return (a, b) if a <= b else (b, a)
 
 
 def _expand_to_keys(key):
     """Whether a type has any stable one-edge expansion, and the canonical
-    keys of its accepted expansions.  Each candidate's start colors are
-    computed once, for the acceptance test and the labeling alike."""
-    candidates = _expand_raw(*key)
-    keys = []
-    for c in candidates:
-        colors = _start_colors(*c)
-        if _new_edge_is_maximal(c[1], colors):
-            keys.append(_canonical_raw(*c, start=colors)[0])
-    return bool(candidates), keys
+    keys of its accepted expansions.  Only accepted candidates are built,
+    each distinct one once, and their start colors go to the labeling."""
+    weights, edges, markings = key
+    colors = _start_colors(weights, edges, markings)
+    if not _expandable(colors):
+        return False, []
+    nv = len(weights)
+    # edges by falling invariant, to find the largest one away from a vertex
+    ranked = sorted(
+        ((_pair(colors[a], colors[b]), (a, b)) for a, b in edges), reverse=True
+    )
+    slots = [[] for _ in weights]  # edge index of each half-edge at v
+    near = [[] for _ in weights]  # (slot, far end's color) of each non-loop edge
+    loops = [[] for _ in weights]  # slot of each loop's first end; the second follows
+    for idx, (a, b) in enumerate(edges):
+        if a == b:
+            loops[a].append(len(slots[a]))
+            slots[a] += [idx, idx]
+        else:
+            near[a].append((len(slots[a]), colors[b]))
+            slots[a].append(idx)
+            near[b].append((len(slots[b]), colors[a]))
+            slots[b].append(idx)
+    accepted: dict = {}  # child triple -> its start colors
+    for v, (w, marks, val, nloops) in enumerate(colors):
+        # () sorts below every color and every pair: it stands for "no edge"
+        away = next((inv for inv, e in ranked if v not in e), ())
+        if w:
+            c = (w - 1, marks, val + 2, nloops + 1)
+            if away <= (c, c) and all(far <= c for _, far in near[v]):
+                child = (
+                    weights[:v] + (w - 1,) + weights[v + 1:],
+                    edges + ((v, v),),
+                    markings,
+                )
+                accepted.setdefault(child, colors[:v] + [c] + colors[v + 1:])
+        # the larger half's color is at most upper; the smaller one has at
+        # most half the weight and, at equal weights, not v's top marking
+        upper = (w, marks, val + 1, nloops)
+        top = 1 << marks.bit_length() >> 1
+        lower = (w // 2, marks if w % 2 else marks ^ top, val + 1, nloops)
+        if (lower, upper) < away or any(far > upper for _, far in near[v]):
+            continue
+        masks = [0]  # masks[bits]: the marking bitmask that bits moves
+        for k, mv in enumerate(markings):
+            if mv == v:
+                masks += [mask | 1 << k for mask in masks]
+        m = marks.bit_count()
+        h = len(slots[v])
+        # with h >= 1, a split or its mirror keeps the last slot at v, not both
+        for slot_bits in range(1 << (h - 1)) if h else (0,):
+            moved = slot_bits.bit_count()
+            kept = h - moved
+            kept_far = moved_far = ()
+            for j, far in near[v]:
+                if slot_bits >> j & 1:
+                    if far > moved_far:
+                        moved_far = far
+                elif far > kept_far:
+                    kept_far = far
+            loops_kept = loops_moved = 0
+            for j in loops[v]:
+                ends = slot_bits >> j & 3
+                loops_kept += ends == 0
+                loops_moved += ends == 3
+            new_edges = None
+            for mark_bits, moved_marks in enumerate(masks):
+                moved_m = mark_bits.bit_count()
+                # the weights that leave both halves stable
+                lo = 1 if moved + moved_m <= 1 else 0
+                hi = w - 1 if kept + m - moved_m <= 1 else w
+                for w_new in range(lo, hi + 1):
+                    if not h and (mark_bits, w_new) > (
+                        len(masks) - 1 - mark_bits,
+                        w - w_new,
+                    ):
+                        continue  # the edgeless type: skip the mirror here
+                    cv = (w - w_new, marks ^ moved_marks, kept + 1, loops_kept)
+                    cn = (w_new, moved_marks, moved + 1, loops_moved)
+                    if (
+                        kept_far > cn
+                        or moved_far > cv
+                        or (loops_kept and cv > cn)
+                        or (loops_moved and cn > cv)
+                        or _pair(cv, cn) < away
+                    ):
+                        continue
+                    if new_edges is None:
+                        new_edges = list(edges)
+                        for j, idx in enumerate(slots[v]):
+                            if slot_bits >> j & 1:  # move one end at v to nv
+                                a, b = new_edges[idx]
+                                new_edges[idx] = (b, nv) if a == v else (a, nv)
+                        new_edges = tuple(new_edges) + ((v, nv),)
+                    child = (
+                        weights[:v] + (w - w_new,) + weights[v + 1:] + (w_new,),
+                        new_edges,
+                        tuple(
+                            nv if moved_marks >> k & 1 else mv
+                            for k, mv in enumerate(markings)
+                        ),
+                    )
+                    accepted.setdefault(
+                        child, colors[:v] + [cv] + colors[v + 1:] + [cn]
+                    )
+    return True, [_canonical_raw(*c, start=s)[0] for c, s in accepted.items()]
 
 
 def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
@@ -193,7 +232,7 @@ def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
 
     Raises InternalConsistencyError for the first type, in catalog order,
     that has fewer than 3g - 3 + n edges and no expansion.  This reads the
-    unfiltered expansions: a type may have expansions but none accepted.
+    closed-form test, not the accepted expansions, which may be none.
     """
     require_stable_range(g, n)
     top = max_edges(g, n)
@@ -212,11 +251,9 @@ def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
             found.update(batch)
         # catalog order within a level follows the certificate encoding
         level_keys.append(sorted(found, key=repr))
-    strata = tuple(
-        WeightedMarkedGraph(*key) for level in level_keys for key in level
-    )
+    keys = tuple(key for level in level_keys for key in level)
     f_vector = tuple(len(level) for level in level_keys)
-    return TypeCatalog(g=g, n=n, strata=strata, f_vector=f_vector)
+    return TypeCatalog(g=g, n=n, keys=keys, f_vector=f_vector)
 
 
 def count_types(g: int, n: int) -> tuple[int, ...]:

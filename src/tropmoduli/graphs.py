@@ -438,7 +438,8 @@ def _minimal_leaves(weights, edges, markings, start=None):
 
     start holds the start colors when the caller has them already.  When
     they are pairwise distinct, refinement cannot reorder them, so the order
-    sorted by start color is the only leaf.  Otherwise refinement plus
+    sorted by start color is the only leaf, and the key is None: a caller
+    that reads the key encodes that leaf.  Otherwise refinement plus
     individualization of every vertex of the first non-singleton class, at
     every node.  Automorphisms permute the leaves, and two minimal leaves
     differ by exactly one automorphism; so the leaves give the whole group
@@ -449,8 +450,7 @@ def _minimal_leaves(weights, edges, markings, start=None):
         start = _start_colors(weights, edges, markings)
     nv = len(weights)
     if len(set(start)) == nv:
-        pos = _positions(sorted(range(nv), key=start.__getitem__))
-        return _encode_raw(weights, edges, markings, pos), [pos]
+        return None, [_positions(sorted(range(nv), key=start.__getitem__))]
     adj = _adjacency(nv, edges)
     best = None
     leaves: list = []
@@ -484,4 +484,6 @@ def _canonical_raw(weights, edges, markings, start=None):
     """The key (the canonically relabeled triple) and one vertex order
     realizing it; start as in _minimal_leaves."""
     key, leaves = _minimal_leaves(weights, edges, markings, start)
+    if key is None:  # distinct start colors: the one leaf is not encoded yet
+        key = _encode_raw(weights, edges, markings, leaves[0])
     return key, _positions(leaves[0])  # inverting the positions gives the order

@@ -28,7 +28,9 @@ package must pick the same pivot rows in the same order.
 One reference keeps the package's enumeration sweep as it was before the
 canonical-augmentation test: every one-edge expansion of every type is
 canonicalized (with the package's labeling, which the reference above
-pins).  The package must produce the same levels in the same order.
+pins).  The package must produce the same levels in the same order.  The
+same reference keeps the acceptance test of that time, applied to every
+built candidate, so that each parent's accepted keys can be compared.
 
 Graphs are plain tuples (weights, edges, markings) in the same convention
 as the package: edges are sorted pairs, markings map label k to a vertex.
@@ -479,6 +481,16 @@ def _reference_expand_raw(weights, edges, markings):
     for v in range(len(weights)):
         _reference_split_moves(weights, edges, markings, v, collect)
     return out
+
+
+def _reference_new_edge_is_maximal(edges, colors) -> bool:
+    a, b = colors[edges[-1][0]], colors[edges[-1][1]]
+    new = (a, b) if a <= b else (b, a)
+    for u, v in edges:
+        a, b = colors[u], colors[v]
+        if ((a, b) if a <= b else (b, a)) > new:
+            return False
+    return True
 
 
 def reference_enumerate_keys(g, n):

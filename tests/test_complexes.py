@@ -12,6 +12,7 @@ from tropmoduli import (
 )
 from tropmoduli import enumeration
 from tropmoduli.complexes import hasse_dot
+from tropmoduli.graphs import _start_colors
 
 
 class TestFacePoset:
@@ -115,11 +116,12 @@ class TestDimension:
     def test_type_without_expansion_is_purity_violation(self, monkeypatch):
         t = next(t for t in enumerate_types(1, 2).strata if t.num_edges == 1)
         victim = (t.weights, t.edges, t.markings)
-        expand = enumeration._expand_raw
+        victim_colors = _start_colors(*victim)
+        expandable = enumeration._expandable
         monkeypatch.setattr(
             enumeration,
-            "_expand_raw",
-            lambda *key: [] if key == victim else expand(*key),
+            "_expandable",
+            lambda colors: colors != victim_colors and expandable(colors),
         )
         message = re.escape(
             f"purity violation at (g, n) = (1, 2): maximal type {victim} "

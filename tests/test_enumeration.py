@@ -11,7 +11,16 @@ from tropmoduli import (
     max_edges,
 )
 
-from oracles import are_isomorphic, brute_force_catalog, reference_enumerate_keys
+from tropmoduli import enumeration
+from tropmoduli.graphs import _canonical_raw, _start_colors
+
+from oracles import (
+    _reference_expand_raw,
+    _reference_new_edge_is_maximal,
+    are_isomorphic,
+    brute_force_catalog,
+    reference_enumerate_keys,
+)
 
 
 class TestPublishedCounts:
@@ -137,6 +146,58 @@ class TestCanonicalAugmentation:
                 for t in strata
             }
             assert image == keys
+
+
+class TestExpansionPerParent:
+    """Each parent's expansion, built only for accepted candidates, against
+    the reference that builds every candidate and then tests it."""
+
+    @pytest.mark.parametrize(
+        "g,n",
+        [(0, 6), (0, 7), (1, 4), (1, 5), (2, 3), (2, 4), (3, 0), (3, 2), (4, 1)],
+    )
+    def test_flag_and_accepted_keys_match_reference(self, g, n):
+        for key in enumerate_types(g, n).keys:
+            expandable, keys = enumeration._expand_to_keys(key)
+            candidates = _reference_expand_raw(*key)
+            assert expandable == bool(candidates), key
+            # one key per distinct accepted candidate: no repeat, none lost
+            reference = [
+                _canonical_raw(*c)[0]
+                for c in candidates
+                if _reference_new_edge_is_maximal(c[1], _start_colors(*c))
+            ]
+            assert sorted(keys, key=repr) == sorted(reference, key=repr), key
+
+    @pytest.mark.parametrize(
+        "g,n,calls",
+        [(2, 4, 6786), (4, 1, 3969), (0, 7, 2751), (1, 5, 1763), (3, 2, 1869)],
+    )
+    def test_canonicalizations_are_exact(self, monkeypatch, g, n, calls):
+        # one labeling per distinct accepted candidate; a duplicate or a
+        # candidate that leaks past the acceptance test changes the count
+        count = 0
+        canonical = enumeration._canonical_raw
+
+        def counted(weights, edges, markings, start=None):
+            nonlocal count
+            count += 1
+            assert start == _start_colors(weights, edges, markings)
+            return canonical(weights, edges, markings, start)
+
+        monkeypatch.setattr(enumeration, "_canonical_raw", counted)
+        enumerate_types(g, n)
+        assert count == calls
+
+    def test_graph_objects_are_built_on_first_read(self):
+        catalog = enumerate_types(2, 4)
+        assert catalog.count == sum(catalog.f_vector) == 5608
+        assert catalog == enumerate_types(2, 4)
+        assert "strata" not in vars(catalog)
+        strata = catalog.strata
+        assert "strata" in vars(catalog)
+        assert [(t.weights, t.edges, t.markings) for t in strata] == list(catalog.keys)
+        assert catalog.strata is strata
 
 
 class TestBruteForceAgreement:

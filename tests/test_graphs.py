@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropmoduli import GraphError, WeightedMarkedGraph, enumerate_types
-from tropmoduli.enumeration import _expand_raw
 from tropmoduli.graphs import _canonical_raw, _contract_raw
 
 from oracles import (
+    _reference_expand_raw,
     exhaustive_edge_permutations,
     reference_canonical_raw,
     reference_search_kind,
@@ -171,7 +171,7 @@ class TestCanonicalOracle:
         kinds = set()
         for graph in enumerate_types(g, n).strata:
             triple = (graph.weights, graph.edges, graph.markings)
-            candidates = _expand_raw(*triple) + [
+            candidates = _reference_expand_raw(*triple) + [
                 _contract_raw(*triple, i) for i in range(graph.num_edges)
             ]
             for cand in candidates:
