@@ -123,8 +123,8 @@ def build_poset(g: int, n: int) -> FacePoset:
             contracted = _contract_raw(*triple, e)
             hit = landing.get(contracted)
             if hit is None:
-                key, order = _canonical_raw(*contracted)
-                hit = (index[key], perm_sign(_edge_relabeling(contracted[1], order)))
+                key, pos = _canonical_raw(*contracted)
+                hit = (index[key], perm_sign(_edge_relabeling(contracted[1], pos)))
                 landing[contracted] = hit
             covers.append((i, hit[0], e))
             signs.append(-hit[1] if e % 2 else hit[1])

@@ -12,7 +12,7 @@ The two nontrivial algorithms live here:
   (weights preserved, markings matched pointwise).  Vertices start colored
   by (weight, marking set, valence, loop count).  When those start colors
   are pairwise distinct, refinement could only keep their order, so the
-  labeling is read off by sorting them: no adjacency, refinement or
+  labeling is read off by ranking them: no adjacency, refinement or
   search.  Otherwise refinement stops as soon as a round splits no class,
   and a partition that refinement makes discrete is encoded at once;
 * the order and parity of the edge-permutation image of the automorphism
@@ -122,11 +122,7 @@ class WeightedMarkedGraph:
 
     def valences(self) -> tuple[int, ...]:
         """Half-edge count at each vertex; a loop contributes 2."""
-        val = [0] * len(self.weights)
-        for u, v in self.edges:
-            val[u] += 1
-            val[v] += 1
-        return tuple(val)
+        return tuple(c[2] for c in _start_colors(self.weights, self.edges, self.markings))
 
     def marks_at(self) -> tuple[tuple[int, ...], ...]:
         """Sorted marked-point labels (1-based) carried by each vertex."""
@@ -141,14 +137,11 @@ class WeightedMarkedGraph:
 
     def unstable_vertices(self) -> tuple[int, ...]:
         """Vertices violating 2w(v) - 2 + val(v) + #marks(v) > 0."""
-        val = self.valences()
-        nmarks = [0] * len(self.weights)
-        for v in self.markings:
-            nmarks[v] += 1
+        start = _start_colors(self.weights, self.edges, self.markings)
         return tuple(
             v
-            for v in range(len(self.weights))
-            if 2 * self.weights[v] - 2 + val[v] + nmarks[v] <= 0
+            for v, (w, marks, val, _) in enumerate(start)
+            if 2 * w - 2 + val + marks.bit_count() <= 0
         )
 
     # -- contraction ----------------------------------------------------------
@@ -170,11 +163,11 @@ class WeightedMarkedGraph:
 
     def canonical_certificate(self) -> "GraphIsoCertificate":
         """Canonical form: equal encodings iff isomorphic graphs."""
-        key, order = _canonical_raw(self.weights, self.edges, self.markings)
+        key, pos = _canonical_raw(self.weights, self.edges, self.markings)
         return GraphIsoCertificate(
             encoding=repr(key).encode("ascii"),
-            vertex_relabeling=_positions(order),
-            edge_relabeling=_edge_relabeling(self.edges, order),
+            vertex_relabeling=pos,
+            edge_relabeling=_edge_relabeling(self.edges, pos),
         )
 
     def canonical_key(self):
@@ -342,17 +335,17 @@ def _contract_raw(weights, edges, markings, edge_index):
 
 
 def _positions(order) -> tuple[int, ...]:
-    """Inverse of a vertex order: old vertex -> canonical vertex."""
+    """Inverse permutation: a leaf's vertex order from its positions."""
     pos = [0] * len(order)
     for i, v in enumerate(order):
         pos[v] = i
     return tuple(pos)
 
 
-def _edge_relabeling(edges, order) -> tuple[int, ...]:
-    """Old edge index -> canonical edge index under a canonical vertex order:
-    sort the relabeled pairs, breaking ties by original index."""
-    pos = _positions(order)
+def _edge_relabeling(edges, pos) -> tuple[int, ...]:
+    """Old edge index -> canonical edge index under canonical positions (old
+    vertex -> canonical vertex): sort the relabeled pairs, breaking ties by
+    original index."""
     tagged = sorted(
         ((pos[a], pos[b]) if pos[a] <= pos[b] else (pos[b], pos[a]), idx)
         for idx, (a, b) in enumerate(edges)
@@ -436,21 +429,23 @@ def _minimal_leaves(weights, edges, markings, start=None):
     """Minimal encoding over all admissible labelings, and the positions
     (old vertex -> new vertex) of every leaf reaching it, in search order.
 
-    start holds the start colors when the caller has them already.  When
-    they are pairwise distinct, refinement cannot reorder them, so the order
-    sorted by start color is the only leaf, and the key is None: a caller
-    that reads the key encodes that leaf.  Otherwise refinement plus
-    individualization of every vertex of the first non-singleton class, at
-    every node.  Automorphisms permute the leaves, and two minimal leaves
-    differ by exactly one automorphism; so the leaves give the whole group
-    only while the tree stays unpruned.  A pruned search must collect
-    automorphism generators instead.
+    start holds the start colors when the caller has them already; they are
+    ranked once.  When they are pairwise distinct, refinement cannot reorder
+    them, so their dense ranks are the only leaf, and the key is None: a
+    caller that reads the key encodes that leaf.  Otherwise the search
+    starts from the same ranks: refinement plus individualization of every
+    vertex of the first non-singleton class, at every node.  Automorphisms
+    permute the leaves, and two minimal leaves differ by exactly one
+    automorphism; so the leaves give the whole group only while the tree
+    stays unpruned.  A pruned search must collect automorphism generators
+    instead.
     """
     if start is None:
         start = _start_colors(weights, edges, markings)
     nv = len(weights)
-    if len(set(start)) == nv:
-        return None, [_positions(sorted(range(nv), key=start.__getitem__))]
+    colors, count = _dense_ranks(start)
+    if count == nv:
+        return None, [colors]
     adj = _adjacency(nv, edges)
     best = None
     leaves: list = []
@@ -476,14 +471,15 @@ def _minimal_leaves(weights, edges, markings, start=None):
                 child[v] = nv  # strictly larger than any refined rank
                 visit(child, count + 1)
 
-    visit(*_dense_ranks(start))
+    visit(colors, count)
     return best, leaves
 
 
 def _canonical_raw(weights, edges, markings, start=None):
-    """The key (the canonically relabeled triple) and one vertex order
-    realizing it; start as in _minimal_leaves."""
+    """The key (the canonically relabeled triple) and the positions (old
+    vertex -> canonical vertex) of one leaf realizing it; start as in
+    _minimal_leaves."""
     key, leaves = _minimal_leaves(weights, edges, markings, start)
     if key is None:  # distinct start colors: the one leaf is not encoded yet
         key = _encode_raw(weights, edges, markings, leaves[0])
-    return key, _positions(leaves[0])  # inverting the positions gives the order
+    return key, tuple(leaves[0])

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 from .errors import GraphError, InternalConsistencyError
 from .rationals import format_rational, is_integer, parse_rational
@@ -444,9 +444,17 @@ def render_svg(
     span_x, span_y = xmax - xmin, ymax - ymin
     scale = size / max(span_x, span_y)
 
+    def num(value) -> float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise GraphError("curve coordinates are too large for an SVG") from None
+
     def to_px(p):
-        x = (float(p[0]) - xmin) * scale
-        y = size - (float(p[1]) - ymin) * scale
+        x = (num(p[0]) - xmin) * scale
+        y = size - (num(p[1]) - ymin) * scale
+        if not (isfinite(x) and isfinite(y)):
+            raise GraphError("viewport gives a curve point no finite SVG position")
         return f"{x:.3f}", f"{y:.3f}"
 
     lines = [
@@ -462,9 +470,9 @@ def render_svg(
         )
     reach = 2.0 * max(span_x, span_y)
     for ray in curve.rays:
-        bx, by = float(ray.base[0]), float(ray.base[1])
+        bx, by = num(ray.base[0]), num(ray.base[1])
         dx, dy = ray.direction
-        norm = (dx * dx + dy * dy) ** 0.5
+        norm = num(dx * dx + dy * dy) ** 0.5
         end = (bx + dx / norm * reach, by + dy / norm * reach)
         (x1, y1), (x2, y2) = to_px((bx, by)), to_px(end)
         lines.append(

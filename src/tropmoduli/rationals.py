@@ -46,7 +46,9 @@ def parse_rational(value) -> Fraction:
 
     Accepted string forms: "5", "-3", "5/2", and valuation shorthands for
     monomials in a uniformizer, "t^5" or "t^(5/2)" (meaning 5 and 5/2).
-    Floats are rejected: they cannot represent the intended value exactly.
+    Decimals such as "0.5" are exact too.  Floats are rejected: they cannot
+    represent the intended value exactly.  So is exponent notation ("1e3"),
+    whose expansion can be far larger than the string.
     """
     if is_integer(value):
         return Fraction(value)
@@ -62,6 +64,8 @@ def parse_rational(value) -> Fraction:
         if m:
             s = m.group(1)
         try:
+            if "e" in s.lower():  # Fraction would expand "1e999999999" in full
+                raise ValueError("exponent notation")
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc

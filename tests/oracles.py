@@ -18,8 +18,9 @@ relabeling), to check the contraction table that replaced that route.
 One reference keeps the package's canonical labeling as it was before its
 shortcuts: tuple start colors, refinement to a fixpoint and a search that
 branches on every vertex of the first non-singleton class, at every node.
-The package must return the same key and the same vertex order, since
-boundary signs and certificate relabelings are read from the order.
+The package must return the same key, and as positions (old vertex ->
+canonical vertex) the inverse of the same vertex order, since boundary signs
+and certificate relabelings are read from the positions.
 
 One reference keeps the package's exact rank as it was before its pivot
 heap: each pivot row is found by a scan over every occupied row.  The

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tropmoduli import cli, plane
 from tropmoduli.cli import dispatch
@@ -12,6 +16,14 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _two_components(length):
+    return {
+        "components": [{"id": 0, "genus": 0}, {"id": 1, "genus": 0}],
+        "nodes": [{"a": 0, "b": 1, "length": length}],
+        "markings": [0, 0, 1, 1],
+    }
 
 
 class TestEnumerateCommand:
@@ -241,6 +253,22 @@ class TestTropicalizeModelCommand:
         assert code == 1
         assert "not stable" in err
 
+    def test_exponent_length_is_refused_at_once(self, tmp_path):
+        # Fraction("1e999999999") would build 10**999999999; a separate
+        # process with a timeout keeps a regression from hanging the suite
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_two_components("1e999999999")))
+        result = subprocess.run(
+            [sys.executable, "-m", "tropmoduli.cli", "tropicalize-model", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "not a rational: '1e999999999'" in result.stderr
+
 
 class TestTropicalizePlaneCommand:
     @pytest.fixture
@@ -320,6 +348,30 @@ class TestTropicalizePlaneCommand:
             "74be7ac7827603bea3435066cfd84e53296d54dfbf079f257caba8f2a2e698ba"
         )
 
+    @pytest.mark.parametrize(
+        "term,viewport",
+        [
+            ({"i": 1, "j": 0, "val": "1" + "0" * 400}, None),
+            ({"i": 10**200, "j": 0, "val": "0"}, None),
+            ({"i": 1, "j": 0, "val": "0"}, "-1e-320,-1e-320,1e-320,1e-320"),
+            ({"i": 1, "j": 0, "val": "0"}, "-1e308,-1e308,1.7e308,1e308"),
+        ],
+        ids=["huge-valuation", "huge-exponent", "subnormal-viewport", "overflowing-span"],
+    )
+    def test_svg_without_finite_pixels_is_refused(self, capsys, tmp_path, term, viewport):
+        poly = tmp_path / "poly.json"
+        rest = [{"i": 0, "j": 1, "val": "0"}, {"i": 0, "j": 0, "val": "0"}]
+        poly.write_text(json.dumps({"terms": [term] + rest}))
+        svg = tmp_path / "x.svg"
+        argv = ["tropicalize-plane", str(poly), "--svg", str(svg)]
+        if viewport is not None:
+            argv.append(f"--viewport={viewport}")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not svg.exists()
+
     def test_bad_viewport(self, capsys, poly_file, tmp_path):
         svg = tmp_path / "x.svg"
         for flag, value, code in [
@@ -335,6 +387,78 @@ class TestTropicalizePlaneCommand:
             assert out == ""
             assert not svg.exists()
             assert flag.lstrip("-") in err.splitlines()[-1]
+
+
+_LEAF = (
+    st.none()
+    | st.booleans()
+    | st.integers(-10, 10)
+    | st.text(max_size=6)
+    | st.sampled_from(["1/2", "-2", "t^3", "t^(1/2)", "0.5", "inf"])
+)
+_JSON = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_SMALL = st.integers(0, 2) | _JSON  # often a valid id, genus or exponent
+
+
+def _records(**fields):
+    return st.lists(st.fixed_dictionaries(fields), max_size=4)
+
+
+# Documents shaped like a model or a polynomial reach past the first
+# missing field into the parsers and the computations.
+_DOCUMENTS = (
+    st.fixed_dictionaries(
+        {
+            "components": _records(id=_SMALL, genus=_SMALL),
+            "nodes": _records(a=_SMALL, b=_SMALL, length=_LEAF),
+            "markings": st.lists(_SMALL, max_size=5),
+        }
+    )
+    | st.fixed_dictionaries({"terms": _records(i=_SMALL, j=_SMALL, val=_LEAF)})
+    | _JSON
+)
+_ARCH = {"i": 1, "j": 0, "val": "0"}, {"i": 0, "j": 1, "val": "0"}
+
+
+class TestFuzzedJson:
+    """No JSON document gives a traceback: each run exits 0, or 1 with a
+    single error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tropicalize-model", "--normalize-volume"],
+            ["tropicalize-plane", "--svg"],
+        ],
+        ids=["model", "plane"],
+    )
+    @settings(
+        max_examples=250,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(value=_DOCUMENTS)
+    @example(value=_two_components("5"))
+    @example(value=_two_components("1e999999999"))
+    @example(value=_two_components("1e-999999999"))
+    @example(value={"terms": [{"i": 1, "j": 0, "val": "1e999999999"}, *_ARCH]})
+    @example(value={"terms": [{"i": 2, "j": 0, "val": "1" + "0" * 400}, *_ARCH]})
+    @example(value={"terms": [{"i": 10**200, "j": 0, "val": "0"}, *_ARCH]})
+    def test_exit_is_zero_or_one_error_line(self, capsys, tmp_path, argv, value):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(value))
+        command, flag = argv
+        extra = [flag, str(tmp_path / "out.svg")] if flag == "--svg" else [flag]
+        code, _, err = run(capsys, command, str(path), *extra)
+        assert code in (0, 1)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
 
 
 class TestUnreadableJson:

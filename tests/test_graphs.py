@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropmoduli import GraphError, WeightedMarkedGraph, enumerate_types
-from tropmoduli.graphs import _canonical_raw, _contract_raw
+from tropmoduli.graphs import _canonical_raw, _contract_raw, _encode_raw
 
 from oracles import (
     _reference_expand_raw,
@@ -163,8 +163,9 @@ class TestCanonicalForm:
 
 
 class TestCanonicalOracle:
-    """The labeling's shortcuts return the full search's key and vertex
-    order; boundary signs and certificate relabelings read the order."""
+    """The labeling's shortcuts return the full search's key, and as
+    positions (old vertex -> canonical vertex) the inverse of its vertex
+    order; boundary signs and certificate relabelings read the positions."""
 
     @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (2, 3), (3, 0), (4, 1)])
     def test_key_and_order_match_full_search(self, g, n):
@@ -175,12 +176,27 @@ class TestCanonicalOracle:
                 _contract_raw(*triple, i) for i in range(graph.num_edges)
             ]
             for cand in candidates:
-                assert _canonical_raw(*cand) == reference_canonical_raw(*cand), cand
+                key, order = reference_canonical_raw(*cand)
+                # sorting vertices by their place in the order inverts it
+                pos = tuple(sorted(range(len(order)), key=order.__getitem__))
+                assert _canonical_raw(*cand) == (key, pos), cand
                 if len(cand[0]) > 1:
                     kinds.add(reference_search_kind(*cand))
         assert "start" in kinds
         if (g, n) == (4, 1):
             assert kinds == {"start", "refined", "search"}
+
+    @pytest.mark.parametrize("g,n", [(2, 3), (4, 1)])
+    def test_positions_realize_the_key(self, g, n):
+        for graph in enumerate_types(g, n).strata:
+            triple = (graph.weights, graph.edges, graph.markings)
+            for cand in [triple] + [
+                _contract_raw(*triple, i) for i in range(graph.num_edges)
+            ]:
+                key, pos = _canonical_raw(*cand)
+                assert _encode_raw(*cand, pos) == key, cand
+                cert = WeightedMarkedGraph(*cand).canonical_certificate()
+                assert cert.vertex_relabeling == pos, cand
 
 
 @functools.cache

@@ -227,6 +227,16 @@ class TestPublishedRanks:
         nonzero = {p: b for p, b in profile.betti_map().items() if b}
         assert nonzero == {5: 1}
 
+    def test_genus_five_unmarked_wheel_class(self):
+        # the wheel class W_5 of Chan-Galatius-Payne, arXiv 1805.10186
+        profile = reduced_homology(5, 0)
+        nonzero = {p: b for p, b in profile.betti_map().items() if b}
+        assert nonzero == {9: 1}
+        assert profile.chain_ranks[1:] == (
+            3, 6, 12, 25, 49, 80, 105, 115, 108, 77, 30, 4
+        )
+        assert profile.euler_reduced == -1
+
 
 class TestEuler:
     def test_examples(self):

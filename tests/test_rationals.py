@@ -1,5 +1,7 @@
 """Exact scalars: formatting and parsing are inverse, floats never enter."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,3 +34,16 @@ def test_floats_are_refused(x):
 def test_infinity_parses_to_the_singleton(text):
     assert parse_length(text) is INF
     assert format_rational(parse_length(text)) == "inf"
+
+
+def test_decimals_parse_exactly():
+    # the other documented forms are covered by the round trip above
+    assert parse_rational("0.5") == Fraction(1, 2)
+    assert parse_length("-2.25") == Fraction(-9, 4)
+
+
+@pytest.mark.parametrize("parse,text", [(parse_rational, "1e3"), (parse_length, "2E-5")])
+def test_exponent_notation_is_refused(parse, text):
+    # Fraction would accept it, and "1e999999999" would build 10**999999999
+    with pytest.raises(ValueError, match="not a rational"):
+        parse(text)
