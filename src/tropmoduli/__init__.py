@@ -7,7 +7,7 @@ of curves), tropicalizes curves from stable-model data, and computes
 tropical plane curves from coefficient valuations.
 """
 
-from .complexes import Cone, FacePoset, LinkComplex, build_poset, complex_dimension, link_cells
+from .complexes import Cone, FacePoset, build_poset, complex_dimension, link_cells
 from .enumeration import TypeCatalog, cone_point, count_types, enumerate_types, max_edges
 from .errors import (
     ExtendedCurveError,
@@ -43,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Cone",
     "FacePoset",
-    "LinkComplex",
     "build_poset",
     "complex_dimension",
     "link_cells",

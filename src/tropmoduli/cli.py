@@ -261,6 +261,9 @@ def _run_complex(args) -> None:
         _write(hasse_dot(poset), args.output)
         return
     link = link_cells(args.genus, args.markings)
+    # cell i is type i + 1 and the cone point is -1; the list lookup lets all
+    # rows share one int object per cell, where p - 1 would make one per row
+    cell = list(range(-1, len(link.cells)))
     payload = {
         "g": args.genus,
         "n": args.markings,
@@ -276,7 +279,7 @@ def _run_complex(args) -> None:
             }
             for i, cone in enumerate(link.cells)
         ],
-        "faces": [list(f) for f in link.faces],
+        "faces": [[cell[p], cell[c], e] for p, c, e in link.covers],
     }
     _write(_dump_json(payload), args.output)
 

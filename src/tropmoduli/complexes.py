@@ -3,7 +3,8 @@
 Each combinatorial type spans a quotient cone (the nonnegative orthant on its
 edges modulo the edge-permutation group); the face poset records which type
 arises from which by contraction.  Dropping the cone point and cutting at
-volume one turns cones of dimension d into link cells of dimension d - 1.
+volume one turns cones of dimension d into link cells of dimension d - 1: the
+link is the poset without its cone point, so one FacePoset carries both.
 
 The self-gluing of a symmetric cone is not stored geometrically: it is
 carried entirely by the edge group on each cell, whose parity is exactly what
@@ -61,7 +62,7 @@ class Cone:
 
 @dataclass(frozen=True)
 class FacePoset:
-    """Types ordered by contraction; covers witness single-edge contractions.
+    """Types ordered by contraction, and the cells of the volume-1 link.
 
     covers holds (parent, child, edge) triples: contracting that edge of the
     parent type lands on the child type.  Isomorphic children reached through
@@ -71,6 +72,10 @@ class FacePoset:
     signs[k] is the incidence sign of covers[k]: (-1)**edge times the sign of
     the permutation taking the surviving edges, in their order, to the
     child's canonical edge order.
+
+    cells[i] is the cone of type i + 1, since type 0, the cone point, is the
+    only edgeless type; a type with d edges gives a cell of dimension d - 1,
+    and a cover with child 0 contracts a 1-edge type to the cone point.
     """
 
     g: int
@@ -78,6 +83,7 @@ class FacePoset:
     types: tuple[WeightedMarkedGraph, ...]
     covers: tuple[tuple[int, int, int], ...]
     signs: tuple[int, ...]
+    cells: tuple[Cone, ...]
 
     def maximal_types(self) -> tuple[int, ...]:
         contracted_from = {child for _, child, _ in self.covers}
@@ -85,30 +91,24 @@ class FacePoset:
             i for i in range(len(self.types)) if i not in contracted_from
         )
 
-
-@dataclass(frozen=True)
-class LinkComplex:
-    """Cells of the volume-1 link: one per type with at least one edge.
-
-    Cell i is catalog type i + 1, since type 0 is the only edgeless one.
-    A type with d edges gives a cell of dimension d - 1.  faces holds
-    (cell, face cell or -1, contracted edge) triples; -1 means the
-    contraction reached the edgeless cone point.  signs[k] is the incidence
-    sign of faces[k], as in FacePoset.
-    """
-
-    g: int
-    n: int
-    cells: tuple[Cone, ...]
-    faces: tuple[tuple[int, int, int], ...]
-    signs: tuple[int, ...]
-
     def dimension(self) -> int:
-        return max((c.dimension - 1 for c in self.cells), default=-1)
+        """Dimension 3g - 4 + n of the link; the enumeration checked purity."""
+        return max_edges(self.g, self.n) - 1
+
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """Cells without an odd edge automorphism (the generators of the
+        rational chains), by dimension, in cell order; computed once."""
+        generators: list[list[int]] = [[] for _ in range(self.dimension() + 1)]
+        for i, cone in enumerate(self.cells):
+            if not cone.is_odd:
+                generators[cone.dimension - 1].append(i)
+        return tuple(map(tuple, generators))
 
 
 def build_poset(g: int, n: int) -> FacePoset:
-    """Face poset of the moduli cone complex for (g, n), with incidence signs.
+    """Face poset of the moduli cone complex for (g, n), with incidence signs
+    and link cells; edge groups are lazy.
 
     Catalog entries are canonical triples, so they index themselves; each
     distinct contracted triple is canonicalized once.
@@ -128,20 +128,15 @@ def build_poset(g: int, n: int) -> FacePoset:
                 landing[contracted] = hit
             covers.append((i, hit[0], e))
             signs.append(-hit[1] if e % 2 else hit[1])
-    return FacePoset(g=g, n=n, types=catalog.strata, covers=tuple(covers), signs=tuple(signs))
+    del landing  # the cones below reuse the memo's memory
+    types = catalog.strata
+    cells = tuple(Cone(graph=t) for t in types[1:])
+    return FacePoset(g, n, types, tuple(covers), tuple(signs), cells)
 
 
-def link_cells(g: int, n: int) -> LinkComplex:
-    """Cell structure of the link from the face poset; edge groups are lazy."""
-    poset = build_poset(g, n)
-    cones = tuple(Cone(graph=t) for t in poset.types[1:])
-    # list lookups let all faces share one int object per cell, where
-    # parent - 1 would allocate a new int for every face
-    cell = list(range(-1, len(poset.types) - 1))
-    faces = tuple(
-        (cell[parent], cell[child], edge) for parent, child, edge in poset.covers
-    )
-    return LinkComplex(g=g, n=n, cells=cones, faces=faces, signs=poset.signs)
+def link_cells(g: int, n: int) -> FacePoset:
+    """The link of (g, n): its face poset, read through cells and covers."""
+    return build_poset(g, n)
 
 
 def complex_dimension(g: int, n: int) -> int:

@@ -29,9 +29,10 @@ contracting a loop raises the base vertex's weight by one.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import GraphError
+from .errors import GraphError, json_list, json_records
 from .rationals import is_integer
 
 Edge = tuple[int, int]
@@ -228,21 +229,13 @@ class WeightedMarkedGraph:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "WeightedMarkedGraph":
-        try:
-            vertices = data["vertices"]
-            raw_edges = data["edges"]
-            raw_markings = data["markings"]
-        except (KeyError, TypeError) as exc:
-            raise GraphError(f"graph JSON missing field: {exc}") from exc
-        if not all(isinstance(x, (list, tuple)) for x in (vertices, raw_edges, raw_markings)):
-            raise GraphError("graph JSON vertices, edges and markings must be lists")
+    def from_json_dict(cls, data) -> "WeightedMarkedGraph":
+        vertices = json_records(data, "vertices", ("id", "weight"), GraphError)
+        raw_edges = json_list(data, "edges", GraphError)
+        raw_markings = json_list(data, "markings", GraphError)
         index = {}
         weights = []
-        for entry in vertices:
-            if not isinstance(entry, dict) or not {"id", "weight"} <= entry.keys():
-                raise GraphError(f"vertex entry {entry!r} needs an id and a weight")
-            vid, weight = entry["id"], entry["weight"]
+        for vid, weight in vertices:
             if not _is_id(vid):
                 raise GraphError(f"vertex id must be an integer or a string, got {vid!r}")
             if vid in index:
@@ -272,8 +265,9 @@ class WeightedMarkedGraph:
             markings.append(index[vid])
         return cls(tuple(weights), tuple(edges), tuple(markings))
 
-    def to_dot(self, name: str = "G") -> str:
-        """Graphviz source; weights label vertices, markings hang as rays."""
+    def to_dot(self, name: str = "G", edge_labels: Sequence[str] | None = None) -> str:
+        """Graphviz source; weights label vertices, markings hang as rays,
+        and edge k carries edge_labels[k] when labels are given."""
         lines = [f"graph {name} {{"]
         for v, w in enumerate(self.weights):
             lines.append(f'  v{v} [shape=circle, label="{w}"];')
@@ -281,8 +275,9 @@ class WeightedMarkedGraph:
             lines.append(
                 f'  m{k + 1} [shape=none, label="{k + 1}"];\n  v{v} -- m{k + 1} [style=dashed];'
             )
-        for u, v in self.edges:
-            lines.append(f"  v{u} -- v{v};")
+        for k, (u, v) in enumerate(self.edges):
+            label = "" if edge_labels is None else f' [label="{edge_labels[k]}"]'
+            lines.append(f"  v{u} -- v{v}{label};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

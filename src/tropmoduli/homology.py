@@ -12,8 +12,8 @@ alternating sum over i of its contraction at e_i, rewritten to the canonical
 representative with the sign of the comparison permutation; summands landing
 on killed cells are dropped.  Degree -1 holds the augmentation: contracting
 the single edge of a 0-cell lands on the edgeless type with coefficient +1.
-Those incidence signs come with the link's faces, so assembling the matrices
-canonicalizes nothing.
+Those incidence signs come with the face poset's covers, so assembling the
+matrices canonicalizes nothing.
 
 Ranks are taken in cohomology order.  The boundary out of degree p is
 transposed into the coboundary delta_p, whose columns are the generators of
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .complexes import LinkComplex, link_cells
+from .complexes import FacePoset, link_cells
 from .enumeration import max_edges, require_stable_range
 from .errors import InternalConsistencyError, ResourceBoundExceeded
 
@@ -60,7 +60,7 @@ class ChainComplex:
     """Integer boundary matrices for the link's rational chain complex.
 
     generators_by_degree[p] lists the surviving cells of dimension p as
-    indices into the originating LinkComplex; boundaries[p] holds one sparse
+    cell indices of the originating FacePoset; boundaries[p] holds one sparse
     column per generator, mapping into degree p - 1 (degree 0 maps to the
     one-dimensional augmentation, row 0).
     """
@@ -116,29 +116,22 @@ class HomologyProfile:
         return {k: self.betti(2 * d - k - 1) for k in range(d, 2 * d + 1)}
 
 
-def _generators(link: LinkComplex) -> list[list[int]]:
-    """Surviving (not odd) cells of the link, by dimension, in cell order."""
-    generators: list[list[int]] = [[] for _ in range(link.dimension() + 1)]
-    for i, cone in enumerate(link.cells):
-        if not cone.is_odd:
-            generators[cone.dimension - 1].append(i)
-    return generators
-
-
-def build_chain_complex(link: LinkComplex) -> ChainComplex:
+def build_chain_complex(link: FacePoset) -> ChainComplex:
     """Assemble boundary matrices and verify d(d(x)) = 0 in every degree."""
-    generators = _generators(link)
-    position = {i: row for gens in generators for row, i in enumerate(gens)}
-    columns: dict[int, dict[int, int]] = {i: {} for i in position}
-    rows = {**position, -1: 0}  # the cone point is the augmentation row
-    for (cell, face, _), sign in zip(link.faces, link.signs):
-        entries = columns.get(cell)
-        row = rows.get(face)
+    generators = link.generators
+    # rows and columns are keyed by type: cell i is type i + 1, and type 0,
+    # the cone point, is the augmentation row
+    position = {i + 1: row for gens in generators for row, i in enumerate(gens)}
+    columns: dict[int, dict[int, int]] = {t: {} for t in position}
+    rows = {**position, 0: 0}
+    for (parent, child, _), sign in zip(link.covers, link.signs):
+        entries = columns.get(parent)
+        row = rows.get(child)
         if entries is not None and row is not None:
             entries[row] = entries.get(row, 0) + sign
     boundaries = tuple(
         tuple(
-            tuple(sorted((r, c) for r, c in columns[i].items() if c != 0))
+            tuple(sorted((r, c) for r, c in columns[i + 1].items() if c != 0))
             for i in gens
         )
         for gens in generators
@@ -146,7 +139,7 @@ def build_chain_complex(link: LinkComplex) -> ChainComplex:
     complex_ = ChainComplex(
         g=link.g,
         n=link.n,
-        generators_by_degree=tuple(tuple(g) for g in generators),
+        generators_by_degree=generators,
         boundaries=boundaries,
     )
     _verify_square_zero(complex_)
@@ -286,12 +279,12 @@ def reduced_homology(
 
 
 def chain_complex_within_bounds(
-    link: LinkComplex,
+    link: FacePoset,
     max_generators: int | None = DEFAULT_MAX_GENERATORS,
 ) -> ChainComplex:
     """Build the chain complex unless the generator cap would be exceeded."""
     if max_generators is not None:
-        sizes = tuple(map(len, _generators(link)))
+        sizes = tuple(map(len, link.generators))
         total = sum(sizes)
         if total > max_generators:
             raise ResourceBoundExceeded(

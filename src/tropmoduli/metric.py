@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExtendedCurveError, GraphError, MalformedModelError, RejectedModelError
+from .errors import json_list, json_records
 from .graphs import WeightedMarkedGraph, _is_id
 from .rationals import INF, Infinity, format_rational, is_integer, parse_length
 
@@ -57,21 +58,16 @@ class StableModelDescription:
                 raise MalformedModelError(f"marking references unknown component {cid!r}")
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "StableModelDescription":
+    def from_json_dict(cls, data) -> "StableModelDescription":
+        error = MalformedModelError
+        components = json_records(data, "components", ("id", "genus"), error)
+        raw_nodes = json_records(data, "nodes", ("a", "b", "length"), error)
+        markings = json_list(data, "markings", error)
         try:
-            components = tuple(
-                (entry["id"], entry["genus"]) for entry in data["components"]
-            )
-            nodes = tuple(
-                (entry["a"], entry["b"], parse_length(entry["length"]))
-                for entry in data["nodes"]
-            )
-            markings = data["markings"]
-        except (KeyError, TypeError, ValueError) as exc:
+            nodes = [(a, b, parse_length(length)) for a, b, length in raw_nodes]
+        except ValueError as exc:
             raise MalformedModelError(f"bad model JSON: {exc}") from exc
-        if not isinstance(markings, list):
-            raise MalformedModelError(f"model markings must be a list, got {markings!r}")
-        return cls(components=components, nodes=nodes, markings=tuple(markings))
+        return cls(components=tuple(components), nodes=tuple(nodes), markings=tuple(markings))
 
 
 @dataclass(frozen=True)
@@ -121,17 +117,7 @@ class MetricGraph:
         }
 
     def to_dot(self, name: str = "Gamma") -> str:
-        lines = [f"graph {name} {{"]
-        for v, w in enumerate(self.graph.weights):
-            lines.append(f'  v{v} [shape=circle, label="{w}"];')
-        for k, v in enumerate(self.graph.markings):
-            lines.append(
-                f'  m{k + 1} [shape=none, label="{k + 1}"];\n  v{v} -- m{k + 1} [style=dashed];'
-            )
-        for (u, v), q in zip(self.graph.edges, self.lengths):
-            lines.append(f'  v{u} -- v{v} [label="{format_rational(q)}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return self.graph.to_dot(name, [format_rational(q) for q in self.lengths])
 
 
 def tropicalize_model(model: StableModelDescription) -> MetricGraph:

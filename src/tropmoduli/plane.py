@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
 
-from .errors import GraphError, InternalConsistencyError
+from .errors import GraphError, InternalConsistencyError, json_records
 from .rationals import format_rational, is_integer, parse_rational
 
 Point = tuple[Fraction, Fraction]
@@ -59,14 +59,9 @@ class TropicalPolynomial:
         return cls(terms=tuple(sorted(cleaned)))
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "TropicalPolynomial":
-        try:
-            items = [
-                ((entry["i"], entry["j"]), entry["val"]) for entry in data["terms"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise GraphError(f"bad polynomial JSON: {exc}") from exc
-        return cls.from_terms(items)
+    def from_json_dict(cls, data) -> "TropicalPolynomial":
+        terms = json_records(data, "terms", ("i", "j", "val"), GraphError)
+        return cls.from_terms(((i, j), val) for i, j, val in terms)
 
     def evaluate(self, p: Point):
         """Tropical value at p and the set of exponents achieving it."""

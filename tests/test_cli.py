@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tropmoduli import cli, plane
+from tropmoduli import build_poset, cli, plane
 from tropmoduli.cli import dispatch
 from tropmoduli.errors import ResourceBoundExceeded
 
@@ -60,7 +60,19 @@ class TestEnumerateCommand:
             capsys, "enumerate", "--genus", "1", "--markings", "1", "--format", "dot"
         )
         assert code == 0
-        assert out.count("graph type") == 2
+        assert out == (
+            "graph type0 {\n"
+            '  v0 [shape=circle, label="1"];\n'
+            '  m1 [shape=none, label="1"];\n'
+            "  v0 -- m1 [style=dashed];\n"
+            "}\n"
+            "graph type1 {\n"
+            '  v0 [shape=circle, label="0"];\n'
+            '  m1 [shape=none, label="1"];\n'
+            "  v0 -- m1 [style=dashed];\n"
+            "  v0 -- v0;\n"
+            "}\n"
+        )
 
     def test_unstable_range_is_domain_error(self, capsys):
         code, out, err = run(capsys, "enumerate", "--genus", "0", "--markings", "2")
@@ -84,6 +96,8 @@ class TestComplexCommand:
         assert data["link_dimension"] == 1
         assert data["num_cells"] == 4
         assert all(len(f) == 3 for f in data["faces"])
+        covers = build_poset(1, 2).covers
+        assert data["faces"] == [[p - 1, c - 1, e] for p, c, e in covers]
 
     def test_point_has_empty_link(self, capsys):
         code, out, _ = run(capsys, "complex", "--genus", "0", "--markings", "3")
@@ -208,7 +222,17 @@ class TestTropicalizeModelCommand:
             capsys, "tropicalize-model", model_file, "--format", "dot"
         )
         assert code == 0
-        assert 'label="5"' in out
+        assert out == (
+            "graph Gamma {\n"
+            '  v0 [shape=circle, label="0"];\n'
+            '  v1 [shape=circle, label="0"];\n'
+            + "".join(
+                f'  m{k} [shape=none, label="{k}"];\n  v{v} -- m{k} [style=dashed];\n'
+                for k, v in [(1, 0), (2, 0), (3, 1), (4, 1)]
+            )
+            + '  v0 -- v1 [label="5"];\n'
+            "}\n"
+        )
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "tropicalize-model", "/nonexistent/model.json")
@@ -222,21 +246,50 @@ class TestTropicalizeModelCommand:
         assert "not valid JSON" in err
 
     @pytest.mark.parametrize(
-        "model",
+        "model,field",
         [
-            {"components": [{"id": 0, "genus": 1.5}], "nodes": [], "markings": [0]},
-            {"components": [{"id": [0], "genus": 1}], "nodes": [], "markings": []},
-            {"components": [{"id": "a", "genus": 0}], "nodes": [], "markings": "aaa"},
+            ({"components": [{"id": 0, "genus": 1.5}], "nodes": [], "markings": [0]}, "genus"),
+            ({"components": [{"id": [0], "genus": 1}], "nodes": [], "markings": []}, "id"),
+            (
+                {"components": [{"id": "a", "genus": 0}], "nodes": [], "markings": "aaa"},
+                "'markings' must be a list",
+            ),
+            ({"nodes": [], "markings": []}, "missing field 'components'"),
+            ([1], "JSON object with a 'components' list"),
+            (
+                {"components": {"id": 0}, "nodes": [], "markings": []},
+                "'components' must be a list",
+            ),
+            (
+                {"components": [{"id": 0, "genus": 0}], "nodes": 3, "markings": []},
+                "'nodes' must be a list",
+            ),
+            (
+                {"components": [1], "nodes": [], "markings": []},
+                "'components' entry must be an object",
+            ),
+            ({"components": [{"id": 0}], "nodes": [], "markings": []}, "missing field 'genus'"),
         ],
-        ids=["float-genus", "list-id", "markings-string"],
+        ids=[
+            "float-genus",
+            "list-id",
+            "markings-string",
+            "missing-components",
+            "top-level-list",
+            "components-object",
+            "nodes-number",
+            "component-number",
+            "missing-genus",
+        ],
     )
-    def test_malformed_model_is_domain_error(self, capsys, tmp_path, model):
+    def test_malformed_model_is_domain_error(self, capsys, tmp_path, model, field):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model))
         code, out, err = run(capsys, "tropicalize-model", str(path))
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
 
     def test_unstable_model(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -268,6 +321,9 @@ class TestTropicalizeModelCommand:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert "not a rational: '1e999999999'" in result.stderr
+
+
+_ORIGIN = {"i": 0, "j": 0, "val": "0"}
 
 
 class TestTropicalizePlaneCommand:
@@ -304,21 +360,36 @@ class TestTropicalizePlaneCommand:
         assert svg_path.read_text().startswith("<svg")
 
     @pytest.mark.parametrize(
-        "term",
+        "poly,message",
         [
-            {"i": 1.5, "j": 0, "val": "0"},
-            {"i": 1, "j": 0, "val": "abc"},
-            {"i": 1, "j": 0, "val": 0.5},
+            ({"terms": [{"i": 1.5, "j": 0, "val": "0"}, _ORIGIN]}, "exponents must be integers"),
+            ({"terms": [{"i": 1, "j": 0, "val": "abc"}, _ORIGIN]}, "not a rational"),
+            ({"terms": [{"i": 1, "j": 0, "val": 0.5}, _ORIGIN]}, "refusing float"),
+            ([1], "JSON object with a 'terms' list"),
+            ({}, "missing field 'terms'"),
+            ({"terms": {"i": 1, "j": 0, "val": "0"}}, "'terms' must be a list"),
+            ({"terms": ["x", _ORIGIN]}, "'terms' entry must be an object"),
+            ({"terms": [{"i": 1, "j": 0}, _ORIGIN]}, "missing field 'val'"),
         ],
-        ids=["float-exponent", "text-value", "float-value"],
+        ids=[
+            "float-exponent",
+            "text-value",
+            "float-value",
+            "top-level-list",
+            "missing-terms",
+            "terms-object",
+            "term-string",
+            "missing-val",
+        ],
     )
-    def test_malformed_term_is_domain_error(self, capsys, tmp_path, term):
+    def test_malformed_term_is_domain_error(self, capsys, tmp_path, poly, message):
         path = tmp_path / "poly.json"
-        path.write_text(json.dumps({"terms": [term, {"i": 0, "j": 0, "val": "0"}]}))
+        path.write_text(json.dumps(poly))
         code, out, err = run(capsys, "tropicalize-plane", str(path))
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_conic_builds_one_subdivision(self, capsys, tmp_path, monkeypatch):
         # heights i^2 + ij + j^2 cut the conic's support into four unit

@@ -81,14 +81,15 @@ class TestLinkComplex:
             assert len(link_cells(g, n).cells) == enumerate_types(g, n).count - 1
 
     def test_faces_reference_valid_cells(self):
+        # cell i is type i + 1; child 0 is the cone point
         link = link_cells(1, 3)
-        for parent, child, edge in link.faces:
-            assert 0 <= parent < len(link.cells)
-            assert child == -1 or 0 <= child < len(link.cells)
-            parent_cone = link.cells[parent]
+        for parent, child, edge in link.covers:
+            assert 0 <= parent - 1 < len(link.cells)
+            assert child == 0 or 0 <= child - 1 < len(link.cells)
+            parent_cone = link.cells[parent - 1]
             assert 0 <= edge < parent_cone.dimension
-            if child >= 0:
-                assert link.cells[child].dimension == parent_cone.dimension - 1
+            if child > 0:
+                assert link.cells[child - 1].dimension == parent_cone.dimension - 1
             else:
                 assert parent_cone.dimension == 1
 

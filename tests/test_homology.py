@@ -286,6 +286,9 @@ class TestResourceBound:
             reduced_homology(1, 5, max_generators=10)
         assert err.value.chain_ranks is not None
         assert sum(err.value.chain_ranks) > 10
+        # the cap and the matrices read the same generator list
+        chain = build_chain_complex(link_cells(1, 5))
+        assert err.value.chain_ranks == tuple(map(len, chain.generators_by_degree))
 
     def test_cap_allows_small_cases(self):
         profile = reduced_homology(1, 3, max_generators=10_000)
