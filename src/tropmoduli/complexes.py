@@ -10,10 +10,16 @@ The self-gluing of a symmetric cone is not stored geometrically: it is
 carried entirely by the edge group on each cell, whose parity is exactly what
 the homology of the link consumes.
 
-Every (type, edge) contraction is canonicalized once, in build_poset, which
-records its target type and incidence sign; covers, link faces and boundary
-columns are all read from that one table.  Purity is checked by the
-enumeration sweep, so every catalog this module reads is already pure.
+A FacePoset holds the catalog's canonical triples and builds everything else
+on first read, so each consumer pays only for what it reads.  The full
+contraction table (every cover with its incidence sign), the graphs and the
+cones serve the complex output; homology reads the parity of each type
+straight from its triple and contracts only the surviving cells, through
+boundary_columns.  Both passes turn a contracted triple into its target and
+relabeling sign with one helper, _land, whose memo lives for one edge count:
+equal contracted triples come only from parents with equal edge counts.
+Purity is checked by the enumeration sweep, so every catalog this module
+reads is already pure.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .graphs import (
     WeightedMarkedGraph,
     _canonical_raw,
     _contract_raw,
+    _edge_group_raw,
     _edge_relabeling,
     perm_sign,
 )
@@ -48,21 +55,42 @@ class Cone:
         """Edge-permutation image of the automorphism group, computed once."""
         return self.graph.automorphisms()
 
-    @property
-    def is_odd(self) -> bool:
-        """Whether some automorphism permutes the edges oddly.
 
-        Two parallel edges, or two loops at one vertex, swap to a
-        transposition, so only types without a repeated edge need their
-        edge group for the answer.
-        """
-        edges = self.graph.edges
-        return len(set(edges)) < len(edges) or self.edge_group.has_odd_element
+def _repeated_edge(edges) -> bool:
+    return len(set(edges)) < len(edges)
+
+
+def is_odd(weights, edges, markings) -> bool:
+    """Whether some automorphism of the type permutes its edges oddly.
+
+    Two parallel edges, or two loops at one vertex, swap to a transposition,
+    so only types without a repeated edge need their edge group.
+    """
+    return _repeated_edge(edges) or _edge_group_raw(
+        weights, edges, markings
+    ).has_odd_element
+
+
+def _land(contracted, index: dict, landing: dict) -> tuple[int | None, int]:
+    """index[canonical key] of a contracted triple (None if absent) and the
+    sign of the permutation taking its edges to the canonical edge order.
+
+    landing memoizes the results for one edge count of the parents."""
+    hit = landing.get(contracted)
+    if hit is None:
+        key, pos = _canonical_raw(*contracted)
+        hit = (index.get(key), perm_sign(_edge_relabeling(contracted[1], pos)))
+        landing[contracted] = hit
+    return hit
 
 
 @dataclass(frozen=True)
 class FacePoset:
     """Types ordered by contraction, and the cells of the volume-1 link.
+
+    keys holds the catalog's canonical (weights, edges, markings) triples in
+    catalog order, so type i is keys[i]; every other field is built on first
+    read.
 
     covers holds (parent, child, edge) triples: contracting that edge of the
     parent type lands on the child type.  Isomorphic children reached through
@@ -80,15 +108,46 @@ class FacePoset:
 
     g: int
     n: int
-    types: tuple[WeightedMarkedGraph, ...]
-    covers: tuple[tuple[int, int, int], ...]
-    signs: tuple[int, ...]
-    cells: tuple[Cone, ...]
+    keys: tuple[tuple, ...]
+
+    @cached_property
+    def types(self) -> tuple[WeightedMarkedGraph, ...]:
+        return tuple(WeightedMarkedGraph(*key) for key in self.keys)
+
+    @cached_property
+    def cells(self) -> tuple[Cone, ...]:
+        return tuple(Cone(graph=t) for t in self.types[1:])
+
+    @cached_property
+    def _table(self) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+        """Every (type, edge) contraction: the covers and their signs."""
+        index = {key: i for i, key in enumerate(self.keys)}
+        landing: dict = {}
+        level = 0
+        covers = []
+        signs = []
+        for i, triple in enumerate(self.keys):
+            if len(triple[1]) != level:
+                level = len(triple[1])
+                landing.clear()
+            for e in range(level):
+                child, sign = _land(_contract_raw(*triple, e), index, landing)
+                covers.append((i, child, e))
+                signs.append(-sign if e % 2 else sign)
+        return tuple(covers), tuple(signs)
+
+    @property
+    def covers(self) -> tuple[tuple[int, int, int], ...]:
+        return self._table[0]
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        return self._table[1]
 
     def maximal_types(self) -> tuple[int, ...]:
         contracted_from = {child for _, child, _ in self.covers}
         return tuple(
-            i for i in range(len(self.types)) if i not in contracted_from
+            i for i in range(len(self.keys)) if i not in contracted_from
         )
 
     def dimension(self) -> int:
@@ -98,40 +157,42 @@ class FacePoset:
     @cached_property
     def generators(self) -> tuple[tuple[int, ...], ...]:
         """Cells without an odd edge automorphism (the generators of the
-        rational chains), by dimension, in cell order; computed once."""
+        rational chains), by dimension, in cell order; computed once from
+        the keys."""
         generators: list[list[int]] = [[] for _ in range(self.dimension() + 1)]
-        for i, cone in enumerate(self.cells):
-            if not cone.is_odd:
-                generators[cone.dimension - 1].append(i)
+        for i, key in enumerate(self.keys[1:]):
+            if not is_odd(*key):
+                generators[len(key[1]) - 1].append(i)
         return tuple(map(tuple, generators))
+
+    def boundary_columns(self, types, rows: dict) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Boundary column of each type in types, all with one edge count.
+
+        rows maps the canonical key of each row's type to its row; summands
+        landing elsewhere are dropped.  A contraction with a repeated edge
+        lands on an odd type, so it is dropped before canonicalizing.
+        Columns are sorted (row, coefficient) pairs without zeros.
+        """
+        landing: dict = {}
+        columns = []
+        for t in types:
+            triple = self.keys[t]
+            entries: dict[int, int] = {}
+            for e in range(len(triple[1])):
+                contracted = _contract_raw(*triple, e)
+                if _repeated_edge(contracted[1]):
+                    continue
+                row, sign = _land(contracted, rows, landing)
+                if row is not None:
+                    entries[row] = entries.get(row, 0) + (-sign if e % 2 else sign)
+            columns.append(tuple(sorted((r, c) for r, c in entries.items() if c)))
+        return tuple(columns)
 
 
 def build_poset(g: int, n: int) -> FacePoset:
-    """Face poset of the moduli cone complex for (g, n), with incidence signs
-    and link cells; edge groups are lazy.
-
-    Catalog entries are canonical triples, so they index themselves; each
-    distinct contracted triple is canonicalized once.
-    """
-    catalog = enumerate_types(g, n)
-    index = {key: i for i, key in enumerate(catalog.keys)}
-    landing: dict = {}  # contracted triple -> (target index, relabeling sign)
-    covers = []
-    signs = []
-    for i, triple in enumerate(catalog.keys):
-        for e in range(len(triple[1])):
-            contracted = _contract_raw(*triple, e)
-            hit = landing.get(contracted)
-            if hit is None:
-                key, pos = _canonical_raw(*contracted)
-                hit = (index[key], perm_sign(_edge_relabeling(contracted[1], pos)))
-                landing[contracted] = hit
-            covers.append((i, hit[0], e))
-            signs.append(-hit[1] if e % 2 else hit[1])
-    del landing  # the cones below reuse the memo's memory
-    types = catalog.strata
-    cells = tuple(Cone(graph=t) for t in types[1:])
-    return FacePoset(g, n, types, tuple(covers), tuple(signs), cells)
+    """Face poset of the moduli cone complex for (g, n); covers, signs, graphs
+    and cells are built on first read."""
+    return FacePoset(g, n, enumerate_types(g, n).keys)
 
 
 def link_cells(g: int, n: int) -> FacePoset:

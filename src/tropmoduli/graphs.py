@@ -183,39 +183,9 @@ class WeightedMarkedGraph:
     # -- automorphisms ----------------------------------------------------------
 
     def automorphisms(self) -> "EdgeAutomorphismGroup":
-        """Image of the automorphism group in the symmetric group on edges.
-
-        Automorphisms preserve weights and fix every marking pointwise.  The
-        group is counted, not listed.  Its vertex automorphisms are the
-        relabelings between the minimal leaves of the canonical labeling
-        search; each permutes the parallel-edge classes (the edges with one
-        endpoint pair), and every permutation within the classes is an
-        automorphism too.  So the order is the number of distinct induced
-        class permutations times the product of k! over class sizes k, and
-        an odd element exists iff some class has two edges (they swap to a
-        transposition) or some induced class permutation is odd.  Loop flips
-        induce the identity.
-        """
-        sizes: dict[Edge, int] = {}
-        for e in self.edges:
-            sizes[e] = sizes.get(e, 0) + 1
-        index = {pair: i for i, pair in enumerate(sizes)}
-        _, leaves = _minimal_leaves(self.weights, self.edges, self.markings)
-        back = _positions(leaves[0])
-        images = {tuple(range(len(sizes)))}  # the first leaf gives the identity
-        for leaf in leaves[1:]:
-            sigma = [back[p] for p in leaf]
-            images.add(
-                tuple(
-                    index[(a, b) if a <= b else (b, a)]
-                    for a, b in ((sigma[u], sigma[v]) for u, v in sizes)
-                )
-            )
-        return EdgeAutomorphismGroup(
-            order=len(images) * math.prod(map(math.factorial, sizes.values())),
-            has_odd_element=any(k > 1 for k in sizes.values())
-            or any(perm_sign(p) == -1 for p in images),
-        )
+        """Image of the automorphism group in the symmetric group on edges;
+        see _edge_group_raw."""
+        return _edge_group_raw(self.weights, self.edges, self.markings)
 
     # -- serialization ------------------------------------------------------------
 
@@ -478,3 +448,38 @@ def _canonical_raw(weights, edges, markings, start=None):
     if key is None:  # distinct start colors: the one leaf is not encoded yet
         key = _encode_raw(weights, edges, markings, leaves[0])
     return key, tuple(leaves[0])
+
+
+def _edge_group_raw(weights, edges, markings) -> EdgeAutomorphismGroup:
+    """Image of the automorphism group in the symmetric group on edges.
+
+    Automorphisms preserve weights and fix every marking pointwise.  The
+    group is counted, not listed.  Its vertex automorphisms are the
+    relabelings between the minimal leaves of the canonical labeling search;
+    each permutes the parallel-edge classes (the edges with one endpoint
+    pair), and every permutation within the classes is an automorphism too.
+    So the order is the number of distinct induced class permutations times
+    the product of k! over class sizes k, and an odd element exists iff some
+    class has two edges (they swap to a transposition) or some induced class
+    permutation is odd.  Loop flips induce the identity.
+    """
+    sizes: dict[Edge, int] = {}
+    for e in edges:
+        sizes[e] = sizes.get(e, 0) + 1
+    index = {pair: i for i, pair in enumerate(sizes)}
+    _, leaves = _minimal_leaves(weights, edges, markings)
+    back = _positions(leaves[0])
+    images = {tuple(range(len(sizes)))}  # the first leaf gives the identity
+    for leaf in leaves[1:]:
+        sigma = [back[p] for p in leaf]
+        images.add(
+            tuple(
+                index[(a, b) if a <= b else (b, a)]
+                for a, b in ((sigma[u], sigma[v]) for u, v in sizes)
+            )
+        )
+    return EdgeAutomorphismGroup(
+        order=len(images) * math.prod(map(math.factorial, sizes.values())),
+        has_odd_element=any(k > 1 for k in sizes.values())
+        or any(perm_sign(p) == -1 for p in images),
+    )

@@ -12,8 +12,13 @@ alternating sum over i of its contraction at e_i, rewritten to the canonical
 representative with the sign of the comparison permutation; summands landing
 on killed cells are dropped.  Degree -1 holds the augmentation: contracting
 the single edge of a 0-cell lands on the edgeless type with coefficient +1.
-Those incidence signs come with the face poset's covers, so assembling the
-matrices canonicalizes nothing.
+Only the surviving cells are contracted, one degree at a time, through
+FacePoset.boundary_columns: a contraction with a repeated edge lands on a
+killed cell and is dropped before it is canonicalized, and each remaining
+distinct contraction of a degree is canonicalized once.  The parity of every
+cell is read from its canonical triple, so no graph, cone or full
+contraction table is built, and the generator cap refuses a job before any
+contraction.
 
 Ranks are taken in cohomology order.  The boundary out of degree p is
 transposed into the coboundary delta_p, whose columns are the generators of
@@ -119,28 +124,17 @@ class HomologyProfile:
 def build_chain_complex(link: FacePoset) -> ChainComplex:
     """Assemble boundary matrices and verify d(d(x)) = 0 in every degree."""
     generators = link.generators
-    # rows and columns are keyed by type: cell i is type i + 1, and type 0,
-    # the cone point, is the augmentation row
-    position = {i + 1: row for gens in generators for row, i in enumerate(gens)}
-    columns: dict[int, dict[int, int]] = {t: {} for t in position}
-    rows = {**position, 0: 0}
-    for (parent, child, _), sign in zip(link.covers, link.signs):
-        entries = columns.get(parent)
-        row = rows.get(child)
-        if entries is not None and row is not None:
-            entries[row] = entries.get(row, 0) + sign
-    boundaries = tuple(
-        tuple(
-            tuple(sorted((r, c) for r, c in columns[i + 1].items() if c != 0))
-            for i in gens
-        )
-        for gens in generators
-    )
+    boundaries = []
+    rows = {link.keys[0]: 0}  # the cone point is the augmentation row
+    for gens in generators:
+        types = [i + 1 for i in gens]  # cell i is type i + 1
+        boundaries.append(link.boundary_columns(types, rows))
+        rows = {link.keys[t]: row for row, t in enumerate(types)}
     complex_ = ChainComplex(
         g=link.g,
         n=link.n,
         generators_by_degree=generators,
-        boundaries=boundaries,
+        boundaries=tuple(boundaries),
     )
     _verify_square_zero(complex_)
     return complex_
@@ -282,7 +276,9 @@ def chain_complex_within_bounds(
     link: FacePoset,
     max_generators: int | None = DEFAULT_MAX_GENERATORS,
 ) -> ChainComplex:
-    """Build the chain complex unless the generator cap would be exceeded."""
+    """Build the chain complex unless the generator cap would be exceeded;
+    the cap reads only the surviving cells, so it refuses before any
+    contraction."""
     if max_generators is not None:
         sizes = tuple(map(len, link.generators))
         total = sum(sizes)

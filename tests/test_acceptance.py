@@ -6,7 +6,6 @@ rank and count comparisons are exact, tolerance zero.
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -327,11 +326,10 @@ def test_criterion_9_cli_determinism(tmp_path):
     report(9, "CLI output byte-identical over 3 runs at threads 1, 4, 8", ok)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("TROPMODULI_EXTENDED"),
-    reason="opt-in long-running job; set TROPMODULI_EXTENDED=1",
-)
+@pytest.mark.slow
 def test_extended_genus_two_five_marks():
     profile = computed(2, 5)["profile"]
     nonzero = {p: b for p, b in profile.betti_map().items() if b != 0}
-    report("extended", "genus 2, n=5 ranks 15 and 5", nonzero == {7: 15, 6: 5})
+    ranks = (43, 424, 1949, 5383, 9661, 11145, 7525, 2235)
+    ok = nonzero == {7: 15, 6: 5} and profile.chain_ranks[1:] == ranks
+    report("extended", "genus 2, n=5 ranks 15 and 5", ok)

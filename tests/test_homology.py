@@ -7,13 +7,16 @@ import pytest
 from tropmoduli import (
     InternalConsistencyError,
     ResourceBoundExceeded,
+    WeightedMarkedGraph,
     build_chain_complex,
+    enumerate_types,
     euler_characteristic,
     link_cells,
     reduced_homology,
     top_weight_cohomology,
 )
-from tropmoduli import homology
+from tropmoduli import complexes, enumeration, homology
+from tropmoduli.complexes import is_odd
 from tropmoduli.homology import (
     _coboundary_ranks,
     homology_of_chain,
@@ -188,10 +191,60 @@ class TestContractionTable:
 
     @pytest.mark.parametrize("g,n", [(2, 3), (1, 5), (3, 0)])
     def test_repeated_edge_parity_agrees_with_full_group(self, g, n):
-        cells = link_cells(g, n).cells
-        assert any(len(set(c.graph.edges)) < len(c.graph.edges) for c in cells)
-        for cone in cells:
-            assert cone.is_odd == cone.graph.automorphisms().has_odd_element
+        keys = enumerate_types(g, n).keys
+        assert any(len(set(edges)) < len(edges) for _, edges, _ in keys)
+        for key in keys:
+            assert is_odd(*key) == WeightedMarkedGraph(*key).automorphisms().has_odd_element
+
+
+class TestGeneratorPass:
+    @pytest.mark.parametrize("g,n", [(1, 3), (2, 2), (0, 6)])
+    def test_full_table_signs_give_the_same_columns(self, g, n):
+        # the full table's signed covers, summed per surviving parent and
+        # child, give the columns of the generator pass
+        link = link_cells(g, n)
+        chain = build_chain_complex(link)
+        rows = {0: 0}
+        rows.update(
+            (i + 1, row) for gens in chain.generators_by_degree for row, i in enumerate(gens)
+        )
+        columns = {i + 1: {} for gens in chain.generators_by_degree for i in gens}
+        for (parent, child, _), sign in zip(link.covers, link.signs):
+            if parent in columns and child in rows:
+                entries = columns[parent]
+                entries[rows[child]] = entries.get(rows[child], 0) + sign
+        assert chain.boundaries == tuple(
+            tuple(tuple(sorted((r, c) for r, c in columns[i + 1].items() if c)) for i in gens)
+            for gens in chain.generators_by_degree
+        )
+
+    def test_generators_contract_only_what_the_columns_read(self, monkeypatch):
+        # (2, 4): the 2,915 generators have 13,773 edges in all; 7,513 of
+        # their contractions have no repeated edge and are distinct within
+        # an edge count; the enumeration canonicalizes 6,786 candidates.
+        # The full table would make 27,575 contractions and 22,622 labelings.
+        calls = {"_contract_raw": 0, "_canonical_raw": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(complexes, "_contract_raw")
+        counted(complexes, "_canonical_raw")
+        counted(enumeration, "_canonical_raw")
+        link = link_cells(2, 4)
+        build_chain_complex(link)
+        generator_edges, distinct_contractions, enumerated = 13_773, 7_513, 6_786
+        assert calls == {
+            "_contract_raw": generator_edges,
+            "_canonical_raw": enumerated + distinct_contractions,
+        }
+        assert not {"types", "cells", "_table"} & set(vars(link))
 
 
 class TestPublishedRanks:
@@ -289,6 +342,14 @@ class TestResourceBound:
         # the cap and the matrices read the same generator list
         chain = build_chain_complex(link_cells(1, 5))
         assert err.value.chain_ranks == tuple(map(len, chain.generators_by_degree))
+
+    def test_cap_refuses_before_any_contraction(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the cap must refuse before contracting")
+
+        monkeypatch.setattr(complexes, "_contract_raw", refused)
+        with pytest.raises(ResourceBoundExceeded):
+            reduced_homology(1, 5, max_generators=10)
 
     def test_cap_allows_small_cases(self):
         profile = reduced_homology(1, 3, max_generators=10_000)
