@@ -11,15 +11,12 @@ carried entirely by the edge group on each cell, whose parity is exactly what
 the homology of the link consumes.
 
 A FacePoset holds the catalog's canonical triples and builds everything else
-on first read, so each consumer pays only for what it reads.  The full
-contraction table (every cover with its incidence sign), the graphs and the
-cones serve the complex output; homology reads the parity of each type
-straight from its triple and contracts only the surviving cells, through
-boundary_columns.  Both passes turn a contracted triple into its target and
-relabeling sign with one helper, _land, whose memo lives for one edge count:
-equal contracted triples come only from parents with equal edge counts.
-Purity is checked by the enumeration sweep, so every catalog this module
-reads is already pure.
+on first read, so each consumer pays only for what it reads.  The covers,
+the graphs and the cones serve the complex output; homology reads the parity
+of each type straight from its triple and contracts only the surviving cells
+itself.  The poset is unsigned: incidence signs orient the chain complex, so
+they live in the homology module.  Purity is checked by the enumeration
+sweep, so every catalog this module reads is already pure.
 """
 
 from __future__ import annotations
@@ -34,8 +31,6 @@ from .graphs import (
     _canonical_raw,
     _contract_raw,
     _edge_group_raw,
-    _edge_relabeling,
-    perm_sign,
 )
 
 
@@ -71,19 +66,6 @@ def is_odd(weights, edges, markings) -> bool:
     ).has_odd_element
 
 
-def _land(contracted, index: dict, landing: dict) -> tuple[int | None, int]:
-    """index[canonical key] of a contracted triple (None if absent) and the
-    sign of the permutation taking its edges to the canonical edge order.
-
-    landing memoizes the results for one edge count of the parents."""
-    hit = landing.get(contracted)
-    if hit is None:
-        key, pos = _canonical_raw(*contracted)
-        hit = (index.get(key), perm_sign(_edge_relabeling(contracted[1], pos)))
-        landing[contracted] = hit
-    return hit
-
-
 @dataclass(frozen=True)
 class FacePoset:
     """Types ordered by contraction, and the cells of the volume-1 link.
@@ -96,10 +78,6 @@ class FacePoset:
     parent type lands on the child type.  Isomorphic children reached through
     different edges are recorded once per edge, because boundary coefficients
     need the multiplicity.  The full order is the transitive closure.
-
-    signs[k] is the incidence sign of covers[k]: (-1)**edge times the sign of
-    the permutation taking the surviving edges, in their order, to the
-    child's canonical edge order.
 
     cells[i] is the cone of type i + 1, since type 0, the cone point, is the
     only edgeless type; a type with d edges gives a cell of dimension d - 1,
@@ -119,30 +97,25 @@ class FacePoset:
         return tuple(Cone(graph=t) for t in self.types[1:])
 
     @cached_property
-    def _table(self) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-        """Every (type, edge) contraction: the covers and their signs."""
+    def covers(self) -> tuple[tuple[int, int, int], ...]:
+        """Every (type, edge) contraction, each distinct contracted triple
+        canonicalized once: equal contracted triples come only from parents
+        with equal edge counts, so the memo lives for one edge count."""
         index = {key: i for i, key in enumerate(self.keys)}
         landing: dict = {}
         level = 0
         covers = []
-        signs = []
         for i, triple in enumerate(self.keys):
             if len(triple[1]) != level:
                 level = len(triple[1])
                 landing.clear()
             for e in range(level):
-                child, sign = _land(_contract_raw(*triple, e), index, landing)
+                contracted = _contract_raw(*triple, e)
+                child = landing.get(contracted)
+                if child is None:
+                    child = landing[contracted] = index[_canonical_raw(*contracted)[0]]
                 covers.append((i, child, e))
-                signs.append(-sign if e % 2 else sign)
-        return tuple(covers), tuple(signs)
-
-    @property
-    def covers(self) -> tuple[tuple[int, int, int], ...]:
-        return self._table[0]
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return self._table[1]
+        return tuple(covers)
 
     def maximal_types(self) -> tuple[int, ...]:
         contracted_from = {child for _, child, _ in self.covers}
@@ -165,33 +138,10 @@ class FacePoset:
                 generators[len(key[1]) - 1].append(i)
         return tuple(map(tuple, generators))
 
-    def boundary_columns(self, types, rows: dict) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Boundary column of each type in types, all with one edge count.
-
-        rows maps the canonical key of each row's type to its row; summands
-        landing elsewhere are dropped.  A contraction with a repeated edge
-        lands on an odd type, so it is dropped before canonicalizing.
-        Columns are sorted (row, coefficient) pairs without zeros.
-        """
-        landing: dict = {}
-        columns = []
-        for t in types:
-            triple = self.keys[t]
-            entries: dict[int, int] = {}
-            for e in range(len(triple[1])):
-                contracted = _contract_raw(*triple, e)
-                if _repeated_edge(contracted[1]):
-                    continue
-                row, sign = _land(contracted, rows, landing)
-                if row is not None:
-                    entries[row] = entries.get(row, 0) + (-sign if e % 2 else sign)
-            columns.append(tuple(sorted((r, c) for r, c in entries.items() if c)))
-        return tuple(columns)
-
 
 def build_poset(g: int, n: int) -> FacePoset:
-    """Face poset of the moduli cone complex for (g, n); covers, signs, graphs
-    and cells are built on first read."""
+    """Face poset of the moduli cone complex for (g, n); covers, graphs and
+    cells are built on first read."""
     return FacePoset(g, n, enumerate_types(g, n).keys)
 
 
@@ -214,10 +164,9 @@ def complex_dimension(g: int, n: int) -> int:
 def hasse_dot(poset: FacePoset) -> str:
     """Graphviz source for the Hasse diagram of the face poset."""
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for i, t in enumerate(poset.types):
-        lines.append(
-            f'  t{i} [shape=box, label="#{i}: {t.num_edges}e g{t.genus()}"];'
-        )
+    for i, (_, edges, _) in enumerate(poset.keys):
+        # every type of the poset has genus g, so no graph is built
+        lines.append(f'  t{i} [shape=box, label="#{i}: {len(edges)}e g{poset.g}"];')
     seen = set()
     for parent, child, _ in poset.covers:
         if (parent, child) not in seen:

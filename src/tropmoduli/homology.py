@@ -12,12 +12,12 @@ alternating sum over i of its contraction at e_i, rewritten to the canonical
 representative with the sign of the comparison permutation; summands landing
 on killed cells are dropped.  Degree -1 holds the augmentation: contracting
 the single edge of a 0-cell lands on the edgeless type with coefficient +1.
-Only the surviving cells are contracted, one degree at a time, through
-FacePoset.boundary_columns: a contraction with a repeated edge lands on a
-killed cell and is dropped before it is canonicalized, and each remaining
-distinct contraction of a degree is canonicalized once.  The parity of every
-cell is read from its canonical triple, so no graph, cone or full
-contraction table is built, and the generator cap refuses a job before any
+Only the surviving cells are contracted, one degree at a time: a
+contraction with a repeated edge lands on a killed cell and is dropped
+before it is canonicalized, and each remaining distinct contraction of a
+degree is canonicalized once, which gives its target and its sign.  The
+parity of every cell is read from its canonical triple, so no graph, cone or
+face poset cover is built, and the generator cap refuses a job before any
 contraction.
 
 Ranks are taken in cohomology order.  The boundary out of degree p is
@@ -48,9 +48,10 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .complexes import FacePoset, link_cells
+from .complexes import FacePoset, _repeated_edge, link_cells
 from .enumeration import max_edges, require_stable_range
 from .errors import InternalConsistencyError, ResourceBoundExceeded
+from .graphs import _canonical_raw, _contract_raw, _edge_relabeling, perm_sign
 
 #: Generator cap used when none is given.  (1, 6) needs 14307 generators and
 #: (2, 4) needs 2915, both comfortably under the cap; (2, 5) needs 38365 and
@@ -127,9 +128,9 @@ def build_chain_complex(link: FacePoset) -> ChainComplex:
     boundaries = []
     rows = {link.keys[0]: 0}  # the cone point is the augmentation row
     for gens in generators:
-        types = [i + 1 for i in gens]  # cell i is type i + 1
-        boundaries.append(link.boundary_columns(types, rows))
-        rows = {link.keys[t]: row for row, t in enumerate(types)}
+        keys = [link.keys[i + 1] for i in gens]  # cell i is type i + 1
+        boundaries.append(_boundary_columns(keys, rows))
+        rows = {key: row for row, key in enumerate(keys)}
     complex_ = ChainComplex(
         g=link.g,
         n=link.n,
@@ -138,6 +139,39 @@ def build_chain_complex(link: FacePoset) -> ChainComplex:
     )
     _verify_square_zero(complex_)
     return complex_
+
+
+def _boundary_columns(keys, rows: dict) -> tuple[Column, ...]:
+    """Boundary column of each canonical triple in keys, all with one edge
+    count.
+
+    rows maps the canonical key of each row's type to its row; summands
+    landing elsewhere are dropped.  A contraction with a repeated edge lands
+    on an odd type, so it is dropped before canonicalizing.  The summand of
+    edge e is (-1)**e times the sign of the permutation taking the surviving
+    edges, in their order, to the target's canonical edge order.  Equal
+    contracted triples come only from parents with equal edge counts, so the
+    memo lives for one call.  Columns are sorted (row, coefficient) pairs
+    without zeros.
+    """
+    landing: dict = {}
+    columns = []
+    for triple in keys:
+        entries: dict[int, int] = {}
+        for e in range(len(triple[1])):
+            contracted = _contract_raw(*triple, e)
+            if _repeated_edge(contracted[1]):
+                continue
+            hit = landing.get(contracted)
+            if hit is None:
+                key, pos = _canonical_raw(*contracted)
+                sign = perm_sign(_edge_relabeling(contracted[1], pos))
+                hit = landing[contracted] = (rows.get(key), sign)
+            row, sign = hit
+            if row is not None:
+                entries[row] = entries.get(row, 0) + (-sign if e % 2 else sign)
+        columns.append(tuple(sorted((r, c) for r, c in entries.items() if c)))
+    return tuple(columns)
 
 
 def _verify_square_zero(chain: ChainComplex) -> None:

@@ -147,14 +147,12 @@ class NewtonSubdivision:
 # ---------------------------------------------------------------------------
 
 
-def _primitive(dx, dy) -> tuple[int, int]:
-    dx, dy = Fraction(dx), Fraction(dy)
+def _primitive(dx: int, dy: int) -> tuple[int, int]:
+    """The primitive integer vector along a nonzero integer direction."""
     if dx == 0 and dy == 0:
         raise ValueError("zero direction")
-    scale = dx.denominator * dy.denominator // gcd(dx.denominator, dy.denominator)
-    ix, iy = int(dx * scale), int(dy * scale)
-    g = gcd(abs(ix), abs(iy))
-    return ix // g, iy // g
+    g = gcd(dx, dy)
+    return dx // g, dy // g
 
 
 def _canonical_line(p: Point, dx: int, dy: int):

@@ -10,7 +10,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_MONOMIAL = re.compile(r"t\^\(?(-?\d+(?:/\d+)?)\)?$")
+# "t^(q)" or "t^q": the closing parenthesis is required exactly when the
+# opening one is there
+_MONOMIAL = re.compile(r"t\^(\()?(-?\d+(?:/\d+)?)(?(1)\))$")
 
 
 class Infinity:
@@ -62,7 +64,7 @@ def parse_rational(value) -> Fraction:
         s = value.strip()
         m = _MONOMIAL.match(s)
         if m:
-            s = m.group(1)
+            s = m.group(2)
         try:
             if "e" in s.lower():  # Fraction would expand "1e999999999" in full
                 raise ValueError("exponent notation")

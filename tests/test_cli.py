@@ -364,6 +364,8 @@ class TestTropicalizePlaneCommand:
         [
             ({"terms": [{"i": 1.5, "j": 0, "val": "0"}, _ORIGIN]}, "exponents must be integers"),
             ({"terms": [{"i": 1, "j": 0, "val": "abc"}, _ORIGIN]}, "not a rational"),
+            ({"terms": [{"i": 1, "j": 0, "val": "t^(5/2"}, _ORIGIN]}, "not a rational"),
+            ({"terms": [{"i": 1, "j": 0, "val": "t^5/2)"}, _ORIGIN]}, "not a rational"),
             ({"terms": [{"i": 1, "j": 0, "val": 0.5}, _ORIGIN]}, "refusing float"),
             ([1], "JSON object with a 'terms' list"),
             ({}, "missing field 'terms'"),
@@ -374,6 +376,8 @@ class TestTropicalizePlaneCommand:
         ids=[
             "float-exponent",
             "text-value",
+            "unclosed-monomial",
+            "unopened-monomial",
             "float-value",
             "top-level-list",
             "missing-terms",
@@ -675,6 +679,39 @@ class TestGoldenOutput:
             "euler": 1,
             "top_weight": {"3": 1, "4": 0, "5": 0, "6": 0},
         }
+
+    def test_complex_dot_golden(self, capsys):
+        _, out, _ = run(
+            capsys, "complex", "--genus", "1", "--markings", "2", "--format", "dot"
+        )
+        assert out == (
+            "digraph hasse {\n"
+            "  rankdir=BT;\n"
+            '  t0 [shape=box, label="#0: 0e g1"];\n'
+            '  t1 [shape=box, label="#1: 1e g1"];\n'
+            '  t2 [shape=box, label="#2: 1e g1"];\n'
+            '  t3 [shape=box, label="#3: 2e g1"];\n'
+            '  t4 [shape=box, label="#4: 2e g1"];\n'
+            "  t0 -> t1;\n"
+            "  t0 -> t2;\n"
+            "  t1 -> t3;\n"
+            "  t2 -> t3;\n"
+            "  t2 -> t4;\n"
+            "}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("json", "ae35154db38bc12f7bd4e76ebe9de2a3364fae84d334805d13904cd27663e815"),
+            ("dot", "b06e830e5cd147b58147ddb3ade2b79373ce87f9b5340495a7170e301a315d3a"),
+        ],
+    )
+    def test_complex_digest(self, capsys, fmt, digest):
+        _, out, _ = run(
+            capsys, "complex", "--genus", "2", "--markings", "3", "--format", fmt
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

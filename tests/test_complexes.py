@@ -10,7 +10,7 @@ from tropmoduli import (
     enumerate_types,
     link_cells,
 )
-from tropmoduli import enumeration
+from tropmoduli import complexes, enumeration
 from tropmoduli.complexes import hasse_dot
 from tropmoduli.graphs import _start_colors
 
@@ -60,6 +60,22 @@ class TestFacePoset:
                     reachable.add(parent)
                     changed = True
         assert reachable == set(range(len(poset.types)))
+
+    def test_covers_canonicalize_each_distinct_contraction_once(self, monkeypatch):
+        # (2, 4): the 27,575 (type, edge) contractions give 15,836 distinct
+        # triples within an edge count, which with the enumeration's 6,786
+        # make the 22,622 labelings of a traced full table
+        calls = {"_contract_raw": 0, "_canonical_raw": 0}
+        for name in calls:
+            original = getattr(complexes, name)
+
+            def wrapper(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(complexes, name, wrapper)
+        assert len(build_poset(2, 4).covers) == 27_575
+        assert calls == {"_contract_raw": 27_575, "_canonical_raw": 15_836}
 
 
 class TestLinkComplex:
@@ -140,3 +156,8 @@ class TestHasse:
         dot = hasse_dot(poset)
         assert dot.startswith("digraph hasse {")
         assert dot.count("->") == len({(p, c) for p, c, _ in poset.covers})
+
+    def test_dot_builds_no_graph(self):
+        poset = build_poset(2, 3)
+        hasse_dot(poset)
+        assert not {"types", "cells"} & set(vars(poset))

@@ -15,7 +15,7 @@ from tropmoduli import (
     reduced_homology,
     top_weight_cohomology,
 )
-from tropmoduli import complexes, enumeration, homology
+from tropmoduli import enumeration, homology
 from tropmoduli.complexes import is_odd
 from tropmoduli.homology import (
     _coboundary_ranks,
@@ -198,26 +198,6 @@ class TestContractionTable:
 
 
 class TestGeneratorPass:
-    @pytest.mark.parametrize("g,n", [(1, 3), (2, 2), (0, 6)])
-    def test_full_table_signs_give_the_same_columns(self, g, n):
-        # the full table's signed covers, summed per surviving parent and
-        # child, give the columns of the generator pass
-        link = link_cells(g, n)
-        chain = build_chain_complex(link)
-        rows = {0: 0}
-        rows.update(
-            (i + 1, row) for gens in chain.generators_by_degree for row, i in enumerate(gens)
-        )
-        columns = {i + 1: {} for gens in chain.generators_by_degree for i in gens}
-        for (parent, child, _), sign in zip(link.covers, link.signs):
-            if parent in columns and child in rows:
-                entries = columns[parent]
-                entries[rows[child]] = entries.get(rows[child], 0) + sign
-        assert chain.boundaries == tuple(
-            tuple(tuple(sorted((r, c) for r, c in columns[i + 1].items() if c)) for i in gens)
-            for gens in chain.generators_by_degree
-        )
-
     def test_generators_contract_only_what_the_columns_read(self, monkeypatch):
         # (2, 4): the 2,915 generators have 13,773 edges in all; 7,513 of
         # their contractions have no repeated edge and are distinct within
@@ -234,8 +214,8 @@ class TestGeneratorPass:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(complexes, "_contract_raw")
-        counted(complexes, "_canonical_raw")
+        counted(homology, "_contract_raw")
+        counted(homology, "_canonical_raw")
         counted(enumeration, "_canonical_raw")
         link = link_cells(2, 4)
         build_chain_complex(link)
@@ -244,7 +224,7 @@ class TestGeneratorPass:
             "_contract_raw": generator_edges,
             "_canonical_raw": enumerated + distinct_contractions,
         }
-        assert not {"types", "cells", "_table"} & set(vars(link))
+        assert not {"types", "cells", "covers"} & set(vars(link))
 
 
 class TestPublishedRanks:
@@ -347,7 +327,7 @@ class TestResourceBound:
         def refused(*args):
             raise AssertionError("the cap must refuse before contracting")
 
-        monkeypatch.setattr(complexes, "_contract_raw", refused)
+        monkeypatch.setattr(homology, "_contract_raw", refused)
         with pytest.raises(ResourceBoundExceeded):
             reduced_homology(1, 5, max_generators=10)
 

@@ -47,3 +47,10 @@ def test_exponent_notation_is_refused(parse, text):
     # Fraction would accept it, and "1e999999999" would build 10**999999999
     with pytest.raises(ValueError, match="not a rational"):
         parse(text)
+
+
+@pytest.mark.parametrize("parse", [parse_rational, parse_length])
+@pytest.mark.parametrize("text", ["t^(5/2", "t^5/2)"])
+def test_unbalanced_parenthesis_is_refused(parse, text):
+    with pytest.raises(ValueError, match="not a rational"):
+        parse(text)
