@@ -12,18 +12,30 @@ alternating sum over i of its contraction at e_i, rewritten to the canonical
 representative with the sign of the comparison permutation; summands landing
 on killed cells are dropped.  Degree -1 holds the augmentation: contracting
 the single edge of a 0-cell lands on the edgeless type with coefficient +1.
-Only the surviving cells are contracted, one degree at a time: a
-contraction with a repeated edge lands on a killed cell and is dropped
-before it is canonicalized, and each remaining distinct contraction of a
-degree is canonicalized once, which gives its target and its sign.  The
-parity of every cell is read from its canonical triple, so no graph, cone or
-face poset cover is built, and the generator cap refuses a job before any
+Only the matrix basis is contracted, one degree at a time: a contraction
+with a repeated edge lands on a killed cell and is dropped before it is
+canonicalized, and each remaining distinct contraction of a degree is
+canonicalized once, which gives its target and its sign.  The parity of
+every cell is read from its canonical triple, so no graph, cone or face
+poset cover is built, and the generator cap refuses a job before any
 contraction.
 
+For g >= 1 the matrices are those of the pair (link, link^lw), where
+link^lw is the subcomplex of cells with a loop or a vertex of positive
+weight.  It is contractible (Chan, Galatius and Payne, arXiv 1805.10186 for
+n = 0 and arXiv 1903.07187 with marked points), so the reduced homology of
+the link equals the homology of the pair.  Its basis is the surviving cells
+of weight 0 without a loop or a repeated edge (Kontsevich's graph complex
+with legs).  Contracting a non-loop edge of such a graph makes no loop and no
+weight; a result with a parallel pair is odd, and any other result is again
+in the basis unless it is killed.  So no face lands in link^lw, and there is
+no augmentation row.  For g = 0, link^lw is empty and the basis is every
+surviving cell, with the augmentation.
+
 Ranks are taken in cohomology order.  The boundary out of degree p is
-transposed into the coboundary delta_p, whose columns are the generators of
-degree p - 1, and the coboundaries are reduced from the bottom degree up.
-Clearing (Bauer, Kerber and Reininghaus, "Clear and Compress"; Bauer,
+transposed into the coboundary delta_p, whose columns are the basis cells
+("generators" below) of degree p - 1, and the coboundaries are reduced from
+the bottom degree up.  Clearing (Bauer, Kerber and Reininghaus, "Clear and Compress"; Bauer,
 "Ripser"): the pivot rows of an elimination of delta_{p-1} index generators
 of degree p - 1 whose coordinates determine every vector in the image of
 delta_{p-1}, so each of those generators is a coboundary plus a combination
@@ -34,9 +46,11 @@ d(d(x)) = 0, which is why build_chain_complex audits every degree before any
 rank is taken: a wrong incidence sign fails loudly there, instead of giving
 a wrong rank here.
 
-The Euler characteristic is read off the chain ranks: the alternating sum
-of the Betti numbers telescopes to the same number, so comparing the two is
-no check.  A negative Betti number is refused.
+The Euler characteristic is read off the chain ranks, the counts of all
+surviving cells.  The alternating sum of the Betti numbers telescopes to
+that of the basis ranks, and the two must agree: for g >= 1 they come from
+different complexes, so every run checks the contractibility step, while for
+g = 0 the check is a tautology.  A negative Betti number is refused.
 
 All ranks are computed by exact integer elimination; no floating point
 arithmetic appears anywhere in this module.
@@ -66,14 +80,19 @@ class ChainComplex:
     """Integer boundary matrices for the link's rational chain complex.
 
     generators_by_degree[p] lists the surviving cells of dimension p as
-    cell indices of the originating FacePoset; boundaries[p] holds one sparse
-    column per generator, mapping into degree p - 1 (degree 0 maps to the
-    one-dimensional augmentation, row 0).
+    cell indices of the originating FacePoset; they give the chain ranks.
+    basis_by_degree[p] is the part of them that indexes the matrices: every
+    generator for g = 0, the simple weight-0 ones of the pair (link,
+    link^lw) for g >= 1 (see the module docstring).  boundaries[p] holds one
+    sparse column per basis cell of degree p, mapping into the basis of
+    degree p - 1; for g = 0, degree 0 maps to the one-dimensional
+    augmentation, row 0, and for g >= 1 there is no augmentation.
     """
 
     g: int
     n: int
     generators_by_degree: tuple[tuple[int, ...], ...]
+    basis_by_degree: tuple[tuple[int, ...], ...]
     boundaries: tuple[tuple[Column, ...], ...]
 
     def rank_of_chain_group(self, p: int) -> int:
@@ -81,6 +100,13 @@ class ChainComplex:
             return 1
         if 0 <= p < len(self.generators_by_degree):
             return len(self.generators_by_degree[p])
+        return 0
+
+    def rank_of_basis(self, p: int) -> int:
+        if p == -1:
+            return int(self.g == 0)
+        if 0 <= p < len(self.basis_by_degree):
+            return len(self.basis_by_degree[p])
         return 0
 
     def top_degree(self) -> int:
@@ -123,22 +149,42 @@ class HomologyProfile:
 
 
 def build_chain_complex(link: FacePoset) -> ChainComplex:
-    """Assemble boundary matrices and verify d(d(x)) = 0 in every degree."""
+    """Assemble boundary matrices over the basis (the generators for g = 0,
+    the simple weight-0 ones for g >= 1) and verify d(d(x)) = 0 in every
+    degree."""
     generators = link.generators
+    if link.g == 0:
+        basis = generators
+        rows = {link.keys[0]: 0}  # the cone point is the augmentation row
+    else:
+        basis = tuple(
+            tuple(i for i in gens if _simple_weight_zero(*link.keys[i + 1]))
+            for gens in generators
+        )
+        rows = {}
     boundaries = []
-    rows = {link.keys[0]: 0}  # the cone point is the augmentation row
-    for gens in generators:
-        keys = [link.keys[i + 1] for i in gens]  # cell i is type i + 1
+    for cells in basis:
+        keys = [link.keys[i + 1] for i in cells]  # cell i is type i + 1
         boundaries.append(_boundary_columns(keys, rows))
         rows = {key: row for row, key in enumerate(keys)}
     complex_ = ChainComplex(
         g=link.g,
         n=link.n,
         generators_by_degree=generators,
+        basis_by_degree=basis,
         boundaries=tuple(boundaries),
     )
     _verify_square_zero(complex_)
     return complex_
+
+
+def _simple_weight_zero(weights, edges, markings) -> bool:
+    """Whether a type lies outside link^lw and has no repeated edge."""
+    return (
+        not any(weights)
+        and all(u != v for u, v in edges)
+        and not _repeated_edge(edges)
+    )
 
 
 def _boundary_columns(keys, rows: dict) -> tuple[Column, ...]:
@@ -282,7 +328,7 @@ def _coboundary_ranks(chain: ChainComplex) -> list[int]:
     cleared: set[int] = set()
     for p, boundary in enumerate(chain.boundaries):
         kept = {
-            i: [] for i in range(chain.rank_of_chain_group(p - 1)) if i not in cleared
+            i: [] for i in range(chain.rank_of_basis(p - 1)) if i not in cleared
         }
         for j, col in enumerate(boundary):
             for i, c in col:
@@ -327,32 +373,47 @@ def chain_complex_within_bounds(
 
 
 def homology_of_chain(chain: ChainComplex) -> HomologyProfile:
-    """Reduced Betti numbers b_p = dim C_p - r_p - r_(p+1) from exact ranks.
+    """Reduced Betti numbers b_p = dim B_p - r_p - r_(p+1) from exact ranks,
+    where B_p is the matrix basis of degree p.
 
-    With r_(-1) = r_(top+1) = 0, the alternating sum of the Betti numbers
-    telescopes to that of the chain ranks, so the Euler characteristic is
-    read off the chain ranks: comparing the two could never fail.  A
-    negative Betti number is refused.
+    The Euler characteristic is read off the chain ranks, the counts of all
+    surviving cells.  With r_(-1) = r_(top+1) = 0, the alternating sum of the
+    Betti numbers telescopes to that of the basis ranks; it must equal the
+    Euler characteristic, which for g >= 1 checks that link^lw contributes
+    nothing.  A negative Betti number is refused.
     """
     top = max_edges(chain.g, chain.n) - 1
-    dims = [chain.rank_of_chain_group(p) for p in range(-1, top + 1)]
+    degrees = range(-1, top + 1)
+    dims = [chain.rank_of_chain_group(p) for p in degrees]
 
     rank = dict(enumerate(_coboundary_ranks(chain)))
     betti = [
-        dims[p + 1] - rank.get(p, 0) - rank.get(p + 1, 0)
-        for p in range(-1, top + 1)
+        chain.rank_of_basis(p) - rank.get(p, 0) - rank.get(p + 1, 0)
+        for p in degrees
     ]
     if any(b < 0 for b in betti):
         raise InternalConsistencyError(
             f"negative Betti number for (g, n) = ({chain.g}, {chain.n})"
+        )
+    euler = _alternating_sum(dims)
+    from_betti = _alternating_sum(betti)
+    if from_betti != euler:
+        raise InternalConsistencyError(
+            f"Betti numbers of (g, n) = ({chain.g}, {chain.n}) sum to "
+            f"{from_betti}, but the chain ranks give Euler characteristic {euler}"
         )
     return HomologyProfile(
         g=chain.g,
         n=chain.n,
         chain_ranks=tuple(dims),
         reduced_betti=tuple(betti),
-        euler_reduced=sum(d if p % 2 == 0 else -d for p, d in enumerate(dims, -1)),
+        euler_reduced=euler,
     )
+
+
+def _alternating_sum(by_degree) -> int:
+    """Sum of (-1)**p x_p over a sequence indexed from degree -1."""
+    return sum(x if p % 2 == 0 else -x for p, x in enumerate(by_degree, -1))
 
 
 def euler_characteristic(

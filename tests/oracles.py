@@ -257,6 +257,41 @@ def reference_boundary_columns(link):
     )
 
 
+def reference_betti(link):
+    """Reduced Betti numbers of the whole link, from degree -1 upward.
+
+    Reads reference_boundary_columns, augmentation row included, and takes
+    every rank by plain column reduction over the rationals, so neither the
+    pair (link, link^lw), nor clearing, nor the pivot heap is involved.
+    """
+    from fractions import Fraction
+
+    def rank(columns):
+        pivots = {}  # lowest row -> reduced column with that lowest row
+        for col in columns:
+            v = {r: Fraction(c) for r, c in col}
+            while v and max(v) in pivots:
+                p = pivots[max(v)]
+                f = v[max(v)] / p[max(v)]
+                for r, c in p.items():
+                    x = v.get(r, 0) - f * c
+                    if x:
+                        v[r] = x
+                    else:
+                        v.pop(r, None)
+            if v:
+                pivots[max(v)] = v
+        return len(pivots)
+
+    generators, boundaries = reference_boundary_columns(link)
+    dims = [1] + [len(gens) for gens in generators]
+    ranks = [rank(columns) for columns in boundaries] + [0]
+    return tuple(
+        dims[p + 1] - (ranks[p] if p >= 0 else 0) - ranks[p + 1]
+        for p in range(-1, len(generators))
+    )
+
+
 def _reference_adjacency(nv, edges):
     adj = [[] for _ in range(nv)]
     for u, v in edges:

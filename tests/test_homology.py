@@ -23,7 +23,11 @@ from tropmoduli.homology import (
     sparse_integer_rank,
 )
 
-from oracles import reference_boundary_columns, reference_sparse_integer_rank
+from oracles import (
+    reference_betti,
+    reference_boundary_columns,
+    reference_sparse_integer_rank,
+)
 
 _chains = {}
 
@@ -33,6 +37,31 @@ def chain_of(g, n):
     if (g, n) not in _chains:
         _chains[(g, n)] = build_chain_complex(link_cells(g, n))
     return _chains[(g, n)]
+
+
+def simple_weight_zero(graph):
+    """Whether a cell is outside link^lw and has no repeated edge."""
+    return (
+        not any(graph.weights)
+        and all(u != v for u, v in graph.edges)
+        and len(set(graph.edges)) == len(graph.edges)
+    )
+
+
+def restricted_to_relative_basis(link, generators, boundaries):
+    """The per-cell route's generators and columns, restricted to the simple
+    weight-0 cells and reindexed; rows outside them, the augmentation row
+    included, are dropped."""
+    basis, columns = [], []
+    rows = {}  # row of degree p - 1 in the per-cell route -> basis row
+    for gens, cols in zip(generators, boundaries):
+        kept = [j for j, i in enumerate(gens) if simple_weight_zero(link.cells[i].graph)]
+        basis.append(tuple(gens[j] for j in kept))
+        columns.append(
+            tuple(tuple((rows[r], c) for r, c in cols[j] if r in rows) for j in kept)
+        )
+        rows = {j: k for k, j in enumerate(kept)}
+    return tuple(basis), tuple(columns)
 
 
 def random_columns(rng, nrows, ncols, density):
@@ -103,7 +132,7 @@ class TestSparseRank:
             assert (rank, pivots) == reference_sparse_integer_rank(cols)
             assert rank == dense_rank_over_q(cols, nrows)
 
-    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (2, 3), (3, 0)])
+    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (1, 5), (2, 3), (3, 0)])
     def test_pivots_match_scan_oracle_on_boundaries(self, g, n):
         chain = chain_of(g, n)
         for boundary in chain.boundaries:
@@ -113,17 +142,17 @@ class TestSparseRank:
 
 
 class TestClearing:
-    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (2, 2), (2, 3), (3, 0)])
+    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (1, 5), (2, 2), (2, 3), (3, 0)])
     def test_cleared_coboundary_ranks_match_boundary_ranks(self, g, n):
         chain = chain_of(g, n)
         uncleared = [sparse_integer_rank(boundary) for boundary in chain.boundaries]
         assert _coboundary_ranks(chain) == uncleared
         # every boundary here has at most 105 x 105 entries
         for p, boundary in enumerate(chain.boundaries):
-            nrows = chain.rank_of_chain_group(p - 1)
+            nrows = chain.rank_of_basis(p - 1)
             assert uncleared[p] == dense_rank_over_q(boundary, nrows)
 
-    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (2, 3)])
+    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (1, 5), (2, 3)])
     def test_clearing_skips_the_previous_pivot_rows(self, g, n, monkeypatch):
         chain = chain_of(g, n)
         widths = []
@@ -136,7 +165,7 @@ class TestClearing:
         ranks = _coboundary_ranks(chain)
         # each degree skips exactly one column per pivot of the degree below
         expected = [
-            chain.rank_of_chain_group(p - 1) - (ranks[p - 1] if p else 0)
+            chain.rank_of_basis(p - 1) - (ranks[p - 1] if p else 0)
             for p in range(len(ranks))
         ]
         assert widths == expected
@@ -175,9 +204,19 @@ class TestChainComplex:
                 assert all(v == 0 for v in acc.values())
 
     def test_augmentation_hits_every_zero_cell(self):
-        chain = build_chain_complex(link_cells(2, 0))
+        chain = build_chain_complex(link_cells(0, 5))
+        assert chain.rank_of_basis(-1) == 1
+        assert len(chain.boundaries[0]) == 10
         for col in chain.boundaries[0]:
             assert col == ((0, 1),)
+
+    @pytest.mark.parametrize("g,n", [(1, 4), (2, 0), (3, 0)])
+    def test_no_augmentation_row_for_positive_genus(self, g, n):
+        # a 1-edge type of genus g >= 1 has a loop or a positive weight
+        chain = chain_of(g, n)
+        assert chain.rank_of_basis(-1) == 0
+        assert chain.rank_of_chain_group(-1) == 1
+        assert chain.basis_by_degree[0] == chain.boundaries[0] == ()
 
 
 class TestContractionTable:
@@ -187,6 +226,11 @@ class TestContractionTable:
         chain = build_chain_complex(link)
         generators, boundaries = reference_boundary_columns(link)
         assert chain.generators_by_degree == generators
+        if g > 0:
+            generators, boundaries = restricted_to_relative_basis(
+                link, generators, boundaries
+            )
+        assert chain.basis_by_degree == generators
         assert chain.boundaries == boundaries
 
     @pytest.mark.parametrize("g,n", [(2, 3), (1, 5), (3, 0)])
@@ -199,10 +243,12 @@ class TestContractionTable:
 
 class TestGeneratorPass:
     def test_generators_contract_only_what_the_columns_read(self, monkeypatch):
-        # (2, 4): the 2,915 generators have 13,773 edges in all; 7,513 of
-        # their contractions have no repeated edge and are distinct within
-        # an edge count; the enumeration canonicalizes 6,786 candidates.
-        # The full table would make 27,575 contractions and 22,622 labelings.
+        # (2, 4): the 180 simple weight-0 generators of the pair have 1,109
+        # edges in all; 358 of their contractions have no repeated edge and
+        # are distinct within an edge count; the enumeration canonicalizes
+        # 6,786 candidates.  Contracting all 2,915 generators would make
+        # 13,773 contractions and 7,513 labelings, and the full table 27,575
+        # contractions and 22,622 labelings.
         calls = {"_contract_raw": 0, "_canonical_raw": 0}
 
         def counted(module, name):
@@ -219,9 +265,9 @@ class TestGeneratorPass:
         counted(enumeration, "_canonical_raw")
         link = link_cells(2, 4)
         build_chain_complex(link)
-        generator_edges, distinct_contractions, enumerated = 13_773, 7_513, 6_786
+        basis_edges, distinct_contractions, enumerated = 1_109, 358, 6_786
         assert calls == {
-            "_contract_raw": generator_edges,
+            "_contract_raw": basis_edges,
             "_canonical_raw": enumerated + distinct_contractions,
         }
         assert not {"types", "cells", "covers"} & set(vars(link))
@@ -269,6 +315,39 @@ class TestPublishedRanks:
             3, 6, 12, 25, 49, 80, 105, 115, 108, 77, 30, 4
         )
         assert profile.euler_reduced == -1
+
+    @pytest.mark.slow
+    def test_genus_one_seven_marks(self):
+        # H~_(n-1) of the genus-1 link has rank (n - 1)!/2 (criterion 3)
+        profile = reduced_homology(1, 7, max_generators=None)
+        nonzero = {p: b for p, b in profile.betti_map().items() if b}
+        assert nonzero == {6: factorial(6) // 2} == {6: 360}
+        assert profile.euler_reduced == 360
+
+
+class TestRelativeRoute:
+    @pytest.mark.parametrize(
+        "g,n",
+        [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 0), (2, 1), (2, 2), (2, 3),
+         (3, 0), (3, 1), (4, 0)],
+    )
+    def test_betti_numbers_match_the_whole_link(self, g, n):
+        assert reduced_homology(g, n).reduced_betti == reference_betti(link_cells(g, n))
+
+    def test_euler_audit_catches_a_missing_basis_cell(self, monkeypatch):
+        # drop one top-degree cell of (1, 4) from the basis of the pair
+        link = link_cells(1, 4)
+        dropped = link.keys[chain_of(1, 4).basis_by_degree[-1][0] + 1]
+        in_basis = homology._simple_weight_zero
+
+        def one_short(*key):
+            return key != dropped and in_basis(*key)
+
+        monkeypatch.setattr(homology, "_simple_weight_zero", one_short)
+        chain = build_chain_complex(link)
+        assert chain.rank_of_basis(3) == chain_of(1, 4).rank_of_basis(3) - 1
+        with pytest.raises(InternalConsistencyError, match="Euler characteristic"):
+            homology_of_chain(chain)
 
 
 class TestEuler:
