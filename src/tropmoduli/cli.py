@@ -204,7 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-generators",
         type=_count,
         default=_env("MAX_GENERATORS", _count, homology_mod.DEFAULT_MAX_GENERATORS),
-        help="abort if the chain complex needs more generators (0 = no cap)",
+        help=(
+            "abort if the link has more surviving cells, the generators counted "
+            "by the chain ranks, not the matrix columns (0 = no cap)"
+        ),
     )
     _add_common(p_hom, "homology")
 

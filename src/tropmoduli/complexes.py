@@ -10,13 +10,13 @@ The self-gluing of a symmetric cone is not stored geometrically: it is
 carried entirely by the edge group on each cell, whose parity is exactly what
 the homology of the link consumes.
 
-A FacePoset holds the catalog's canonical triples and builds everything else
-on first read, so each consumer pays only for what it reads.  The covers,
-the graphs and the cones serve the complex output; homology reads the parity
-of each type straight from its triple and contracts only the surviving cells
-itself.  The poset is unsigned: incidence signs orient the chain complex, so
-they live in the homology module.  Purity is checked by the enumeration
-sweep, so every catalog this module reads is already pure.
+A FacePoset is the enumerated catalog, and it builds everything else on
+first read, so each consumer pays only for what it reads.  The covers, the
+catalog's graphs and the cones serve the complex output; homology reads the
+parity of each type straight from its triple and contracts only the
+surviving cells itself.  The poset is unsigned: incidence signs orient the
+chain complex, so they live in the homology module.  Purity is checked by
+the enumeration sweep, so every catalog this module reads is already pure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .enumeration import enumerate_types, max_edges
+from .enumeration import TypeCatalog, enumerate_types, max_edges
 from .graphs import (
     EdgeAutomorphismGroup,
     WeightedMarkedGraph,
@@ -66,13 +66,12 @@ def is_odd(weights, edges, markings) -> bool:
     ).has_odd_element
 
 
-@dataclass(frozen=True)
-class FacePoset:
-    """Types ordered by contraction, and the cells of the volume-1 link.
+class FacePoset(TypeCatalog):
+    """The enumerated catalog ordered by contraction: the face poset of the
+    cone complex, and the cells of its volume-1 link.
 
-    keys holds the catalog's canonical (weights, edges, markings) triples in
-    catalog order, so type i is keys[i]; every other field is built on first
-    read.
+    It is the TypeCatalog of (g, n) itself, so type i is keys[i] and its
+    graph strata[i]; only the order is added, built on first read.
 
     covers holds (parent, child, edge) triples: contracting that edge of the
     parent type lands on the child type.  Isomorphic children reached through
@@ -84,17 +83,9 @@ class FacePoset:
     and a cover with child 0 contracts a 1-edge type to the cone point.
     """
 
-    g: int
-    n: int
-    keys: tuple[tuple, ...]
-
-    @cached_property
-    def types(self) -> tuple[WeightedMarkedGraph, ...]:
-        return tuple(WeightedMarkedGraph(*key) for key in self.keys)
-
     @cached_property
     def cells(self) -> tuple[Cone, ...]:
-        return tuple(Cone(graph=t) for t in self.types[1:])
+        return tuple(Cone(graph=t) for t in self.strata[1:])
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int, int], ...]:
@@ -125,7 +116,7 @@ class FacePoset:
 
     def dimension(self) -> int:
         """Dimension 3g - 4 + n of the link; the enumeration checked purity."""
-        return max_edges(self.g, self.n) - 1
+        return len(self.f_vector) - 2
 
     @cached_property
     def generators(self) -> tuple[tuple[int, ...], ...]:
@@ -142,7 +133,8 @@ class FacePoset:
 def build_poset(g: int, n: int) -> FacePoset:
     """Face poset of the moduli cone complex for (g, n); covers, graphs and
     cells are built on first read."""
-    return FacePoset(g, n, enumerate_types(g, n).keys)
+    catalog = enumerate_types(g, n)
+    return FacePoset(catalog.g, catalog.n, catalog.keys, catalog.f_vector)
 
 
 def link_cells(g: int, n: int) -> FacePoset:

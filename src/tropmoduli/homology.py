@@ -67,9 +67,10 @@ from .enumeration import max_edges, require_stable_range
 from .errors import InternalConsistencyError, ResourceBoundExceeded
 from .graphs import _canonical_raw, _contract_raw, _edge_relabeling, perm_sign
 
-#: Generator cap used when none is given.  (1, 6) needs 14307 generators and
-#: (2, 4) needs 2915, both comfortably under the cap; (2, 5) needs 38365 and
-#: beyond, so those long-running jobs must be opted into explicitly.
+#: Generator cap used when none is given.  It counts surviving cells (the
+#: chain ranks, what enumeration and parity pay for), not matrix columns:
+#: (2, 4) has 2915 and 180.  (1, 6) needs 14307, under the cap; (2, 5) needs
+#: 38365 and beyond, so those long-running jobs must be opted into explicitly.
 DEFAULT_MAX_GENERATORS = 20_000
 
 Column = tuple[tuple[int, int], ...]  # sorted (row, coefficient) pairs

@@ -1,9 +1,11 @@
 import re
+from collections import Counter
 
 import pytest
 
 from tropmoduli import (
     InternalConsistencyError,
+    TypeCatalog,
     WeightedMarkedGraph,
     build_poset,
     complex_dimension,
@@ -11,15 +13,27 @@ from tropmoduli import (
     link_cells,
 )
 from tropmoduli import complexes, enumeration
-from tropmoduli.complexes import hasse_dot
-from tropmoduli.graphs import _start_colors
+from tropmoduli.complexes import hasse_dot, is_odd
+from tropmoduli.graphs import _canonical_raw, _start_colors
 
 
 class TestFacePoset:
+    def test_poset_is_the_enumerated_catalog(self):
+        poset = build_poset(2, 3)
+        catalog = enumerate_types(2, 3)
+        assert isinstance(poset, TypeCatalog)
+        assert (poset.g, poset.n, poset.keys, poset.f_vector) == (
+            catalog.g,
+            catalog.n,
+            catalog.keys,
+            catalog.f_vector,
+        )
+        assert poset.cells[0].graph is poset.strata[1]
+
     def test_two_maximal_types_for_genus_one_two_marks(self):
         # the two shaded top cones: 2-cycle with split marks, loop + marked bridge
         poset = build_poset(1, 2)
-        maximal = [poset.types[i] for i in poset.maximal_types()]
+        maximal = [poset.strata[i] for i in poset.maximal_types()]
         assert len(maximal) == 2
         expected = {
             WeightedMarkedGraph((0, 0), ((0, 1), (0, 1)), (0, 1)).canonical_key(),
@@ -30,25 +44,25 @@ class TestFacePoset:
 
     def test_theta_and_dumbbell_maximal_for_genus_two(self, theta, dumbbell):
         poset = build_poset(2, 0)
-        maximal = {poset.types[i].canonical_key() for i in poset.maximal_types()}
+        maximal = {poset.strata[i].canonical_key() for i in poset.maximal_types()}
         assert maximal == {theta.canonical_key(), dumbbell.canonical_key()}
 
     def test_point_poset(self):
         poset = build_poset(0, 3)
-        assert len(poset.types) == 1
+        assert len(poset.strata) == 1
         assert poset.covers == ()
         assert poset.maximal_types() == (0,)
 
     def test_covers_drop_edge_count_by_one(self):
         poset = build_poset(2, 1)
         for parent, child, edge in poset.covers:
-            pt, ct = poset.types[parent], poset.types[child]
+            pt, ct = poset.strata[parent], poset.strata[child]
             assert pt.num_edges == ct.num_edges + 1
             assert 0 <= edge < pt.num_edges
 
     def test_unique_minimum(self):
         poset = build_poset(1, 2)
-        zero_edge = [i for i, t in enumerate(poset.types) if t.num_edges == 0]
+        zero_edge = [i for i, t in enumerate(poset.strata) if t.num_edges == 0]
         assert len(zero_edge) == 1
         # every other type reaches it through covers
         reachable = set(zero_edge)
@@ -59,7 +73,7 @@ class TestFacePoset:
                 if child in reachable and parent not in reachable:
                     reachable.add(parent)
                     changed = True
-        assert reachable == set(range(len(poset.types)))
+        assert reachable == set(range(len(poset.strata)))
 
     def test_covers_canonicalize_each_distinct_contraction_once(self, monkeypatch):
         # (2, 4): the 27,575 (type, edge) contractions give 15,836 distinct
@@ -160,4 +174,26 @@ class TestHasse:
     def test_dot_builds_no_graph(self):
         poset = build_poset(2, 3)
         hasse_dot(poset)
-        assert not {"types", "cells"} & set(vars(poset))
+        assert not {"strata", "cells"} & set(vars(poset))
+
+
+class TestMarkingSymmetry:
+    """S_n acts on the types by relabelling markings; the catalog, the
+    parity of each type and the contraction order are all invariant."""
+
+    @pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (2, 2), (2, 3), (1, 5)])
+    def test_adjacent_swaps_are_automorphisms_of_the_poset(self, g, n):
+        poset = build_poset(g, n)
+        index = {key: i for i, key in enumerate(poset.keys)}
+        pairs = Counter((parent, child) for parent, child, _ in poset.covers)
+        for k in range(n - 1):
+            image = []
+            for weights, edges, markings in poset.keys:
+                swapped = list(markings)
+                swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+                image.append(index[_canonical_raw(weights, edges, tuple(swapped))[0]])
+            assert sorted(image) == list(range(len(image)))
+            for i, j in enumerate(image):
+                assert len(poset.keys[i][1]) == len(poset.keys[j][1])
+                assert is_odd(*poset.keys[i]) == is_odd(*poset.keys[j])
+            assert Counter((image[p], image[c]) for p, c, _ in poset.covers) == pairs

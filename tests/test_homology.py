@@ -270,7 +270,7 @@ class TestGeneratorPass:
             "_contract_raw": basis_edges,
             "_canonical_raw": enumerated + distinct_contractions,
         }
-        assert not {"types", "cells", "covers"} & set(vars(link))
+        assert not {"strata", "cells", "covers"} & set(vars(link))
 
 
 class TestPublishedRanks:
@@ -279,11 +279,14 @@ class TestPublishedRanks:
         profile = reduced_homology(1, n)
         assert all(b == 0 for b in profile.reduced_betti)
 
-    @pytest.mark.parametrize("n,rank", [(3, 1), (4, 3)])
+    # H~_{n-1} of the link of (1, n) has rank (n - 1)!/2 for n >= 3 and is
+    # its only nonzero group (Chan-Galatius-Payne, arXiv 1903.07187)
+    @pytest.mark.parametrize("n,rank", [(3, 1), (4, 3), (5, 12), (6, 60)])
     def test_genus_one_top_sphere_ranks(self, n, rank):
         profile = reduced_homology(1, n)
         expected = {n - 1: rank}
         assert {p: b for p, b in profile.betti_map().items() if b} == expected
+        assert profile.euler_reduced == (-1) ** (n - 1) * rank
 
     def test_genus_two_two_marks(self):
         profile = reduced_homology(2, 2)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmoduli import (
     INF,
@@ -13,6 +15,7 @@ from tropmoduli import (
     WeightedMarkedGraph,
     tropicalize_model,
 )
+from test_graphs import stable_graphs
 
 
 def conic_model(length):
@@ -147,3 +150,44 @@ class TestVolume:
             MetricGraph(theta, (Fraction(1), Fraction(-1), Fraction(1)))
         with pytest.raises(GraphError):
             MetricGraph(theta, (Fraction(1), Fraction(1)))
+
+
+node_lengths = st.one_of(
+    st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)), st.just(INF)
+)
+
+
+@st.composite
+def valid_models(draw):
+    """A stable connected graph as a special fiber, with the graph: string
+    component ids in a shuffled order, node ends in either order, each node
+    a positive Fraction or INF."""
+    graph = draw(stable_graphs())
+    nv = graph.num_vertices
+    ids = draw(st.permutations([f"c{v}" for v in range(nv)]))
+    order = draw(st.permutations(range(nv)))
+    nodes = []
+    for u, v in graph.edges:
+        if draw(st.booleans()):
+            u, v = v, u
+        nodes.append((ids[u], ids[v], draw(node_lengths)))
+    model = StableModelDescription(
+        components=tuple((ids[v], graph.weights[v]) for v in order),
+        nodes=tuple(nodes),
+        markings=tuple(ids[m] for m in graph.markings),
+    )
+    return model, graph
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(valid_models())
+def test_valid_model_tropicalizes_to_its_graph(drawn):
+    model, graph = drawn
+    metric = tropicalize_model(model)
+    assert metric.graph.canonical_key() == graph.canonical_key()
+    assert metric.graph.genus() == graph.genus()
+    assert metric.lengths == tuple(length for _, _, length in model.nodes)
+    if INF in metric.lengths:
+        assert metric.is_extended()
+    elif metric.lengths:
+        assert metric.rescale_to_volume_one().volume() == 1
