@@ -119,14 +119,14 @@ class FacePoset(TypeCatalog):
         return len(self.f_vector) - 2
 
     @cached_property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """Cells without an odd edge automorphism (the generators of the
-        rational chains), by dimension, in cell order; computed once from
-        the keys."""
-        generators: list[list[int]] = [[] for _ in range(self.dimension() + 1)]
-        for i, key in enumerate(self.keys[1:]):
+    def generators(self) -> tuple[tuple[tuple, ...], ...]:
+        """Canonical triples of the cells without an odd edge automorphism
+        (the generators of the rational chains), by dimension, in catalog
+        order; computed once from the keys."""
+        generators: list[list[tuple]] = [[] for _ in range(self.dimension() + 1)]
+        for key in self.keys[1:]:
             if not is_odd(*key):
-                generators[len(key[1]) - 1].append(i)
+                generators[len(key[1]) - 1].append(key)
         return tuple(map(tuple, generators))
 
 

@@ -33,18 +33,18 @@ no augmentation row.  For g = 0, link^lw is empty and the basis is every
 surviving cell, with the augmentation.
 
 Ranks are taken in cohomology order.  The boundary out of degree p is
-transposed into the coboundary delta_p, whose columns are the basis cells
-("generators" below) of degree p - 1, and the coboundaries are reduced from
-the bottom degree up.  Clearing (Bauer, Kerber and Reininghaus, "Clear and Compress"; Bauer,
-"Ripser"): the pivot rows of an elimination of delta_{p-1} index generators
+transposed into the coboundary delta_p, whose columns are the basis cells of
+degree p - 1, and the coboundaries are reduced from the bottom degree up.
+Clearing (Bauer, Kerber and Reininghaus, "Clear and Compress"; Bauer,
+"Ripser"): the pivot rows of an elimination of delta_{p-1} index basis cells
 of degree p - 1 whose coordinates determine every vector in the image of
-delta_{p-1}, so each of those generators is a coboundary plus a combination
-of the other generators.  Since d(d(x)) = 0, delta_p kills every coboundary,
-so the column of such a generator is a combination of the others and is
-skipped without changing the rank of delta_p.  The lemma is only as good as
-d(d(x)) = 0, which is why build_chain_complex audits every degree before any
-rank is taken: a wrong incidence sign fails loudly there, instead of giving
-a wrong rank here.
+delta_{p-1}, so each of those basis cells is a coboundary plus a combination
+of the other basis cells.  Since d(d(x)) = 0, delta_p kills every
+coboundary, so the column of such a basis cell is a combination of the others
+and is skipped without changing the rank of delta_p.  The lemma is only as
+good as d(d(x)) = 0, which is why build_chain_complex audits every degree
+before any rank is taken: a wrong incidence sign fails loudly there, instead
+of giving a wrong rank here.
 
 The Euler characteristic is read off the chain ranks, the counts of all
 surviving cells.  The alternating sum of the Betti numbers telescopes to
@@ -63,7 +63,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .complexes import FacePoset, _repeated_edge, link_cells
-from .enumeration import max_edges, require_stable_range
+from .enumeration import max_edges
 from .errors import InternalConsistencyError, ResourceBoundExceeded
 from .graphs import _canonical_raw, _contract_raw, _edge_relabeling, perm_sign
 
@@ -80,9 +80,9 @@ Column = tuple[tuple[int, int], ...]  # sorted (row, coefficient) pairs
 class ChainComplex:
     """Integer boundary matrices for the link's rational chain complex.
 
-    generators_by_degree[p] lists the surviving cells of dimension p as
-    cell indices of the originating FacePoset; they give the chain ranks.
-    basis_by_degree[p] is the part of them that indexes the matrices: every
+    generators_by_degree[p] holds the canonical triples of the surviving
+    cells of dimension p, in catalog order; they give the chain ranks.
+    basis_by_degree[p] holds the triples that index the matrices: every
     generator for g = 0, the simple weight-0 ones of the pair (link,
     link^lw) for g >= 1 (see the module docstring).  boundaries[p] holds one
     sparse column per basis cell of degree p, mapping into the basis of
@@ -92,8 +92,8 @@ class ChainComplex:
 
     g: int
     n: int
-    generators_by_degree: tuple[tuple[int, ...], ...]
-    basis_by_degree: tuple[tuple[int, ...], ...]
+    generators_by_degree: tuple[tuple[tuple, ...], ...]
+    basis_by_degree: tuple[tuple[tuple, ...], ...]
     boundaries: tuple[tuple[Column, ...], ...]
 
     def rank_of_chain_group(self, p: int) -> int:
@@ -159,13 +159,12 @@ def build_chain_complex(link: FacePoset) -> ChainComplex:
         rows = {link.keys[0]: 0}  # the cone point is the augmentation row
     else:
         basis = tuple(
-            tuple(i for i in gens if _simple_weight_zero(*link.keys[i + 1]))
-            for gens in generators
+            tuple(key for key in keys if _simple_weight_zero(*key))
+            for keys in generators
         )
         rows = {}
     boundaries = []
-    for cells in basis:
-        keys = [link.keys[i + 1] for i in cells]  # cell i is type i + 1
+    for keys in basis:
         boundaries.append(_boundary_columns(keys, rows))
         rows = {key: row for row, key in enumerate(keys)}
     complex_ = ChainComplex(
@@ -180,12 +179,9 @@ def build_chain_complex(link: FacePoset) -> ChainComplex:
 
 
 def _simple_weight_zero(weights, edges, markings) -> bool:
-    """Whether a type lies outside link^lw and has no repeated edge."""
-    return (
-        not any(weights)
-        and all(u != v for u, v in edges)
-        and not _repeated_edge(edges)
-    )
+    """Whether a surviving type lies outside link^lw.  It has no repeated
+    edge: parity has already killed every type with one."""
+    return not any(weights) and all(u != v for u, v in edges)
 
 
 def _boundary_columns(keys, rows: dict) -> tuple[Column, ...]:
@@ -347,7 +343,6 @@ def reduced_homology(
     g: int, n: int, max_generators: int | None = DEFAULT_MAX_GENERATORS
 ) -> HomologyProfile:
     """Exact reduced rational Betti numbers of the link of (g, n)."""
-    require_stable_range(g, n)
     link = link_cells(g, n)
     chain = chain_complex_within_bounds(link, max_generators=max_generators)
     return homology_of_chain(chain)
@@ -383,8 +378,7 @@ def homology_of_chain(chain: ChainComplex) -> HomologyProfile:
     Euler characteristic, which for g >= 1 checks that link^lw contributes
     nothing.  A negative Betti number is refused.
     """
-    top = max_edges(chain.g, chain.n) - 1
-    degrees = range(-1, top + 1)
+    degrees = range(-1, chain.top_degree() + 1)
     dims = [chain.rank_of_chain_group(p) for p in degrees]
 
     rank = dict(enumerate(_coboundary_ranks(chain)))

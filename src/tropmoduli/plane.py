@@ -211,13 +211,6 @@ def _curve_by_bisectors(f: TropicalPolynomial) -> TropicalPlaneCurve:
     if m < 2:
         return TropicalPlaneCurve((), (), ())
 
-    def term_value(idx, p):
-        (i, j), v = terms[idx]
-        return v + i * p[0] + j * p[1]
-
-    def global_min(p):
-        return min(term_value(k, p) for k in range(m))
-
     # vertices: equality points of affinely independent triples that reach
     # the global minimum
     vertex_set = set()
@@ -232,7 +225,7 @@ def _curve_by_bisectors(f: TropicalPolynomial) -> TropicalPlaneCurve:
         z = Fraction(r1 * (ja - jc) - r2 * (ja - jb), det)
         w = Fraction((ia - ib) * r2 - (ia - ic) * r1, det)
         p = (z, w)
-        if term_value(a, p) == global_min(p):
+        if (ia, ja) in f.evaluate(p)[1]:
             vertex_set.add(p)
 
     segments = set()

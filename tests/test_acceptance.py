@@ -20,9 +20,9 @@ from tropmoduli import (
     TropicalPolynomial,
     WeightedMarkedGraph,
     build_chain_complex,
+    build_poset,
     complex_dimension,
     enumerate_types,
-    link_cells,
     tropicalize_model,
 )
 from tropmoduli.homology import homology_of_chain
@@ -46,7 +46,7 @@ _cache = {}
 def computed(g, n):
     if (g, n) not in _cache:
         start = time.monotonic()
-        chain = build_chain_complex(link_cells(g, n))
+        chain = build_chain_complex(build_poset(g, n))
         profile = homology_of_chain(chain)
         _cache[(g, n)] = {
             "chain": chain,

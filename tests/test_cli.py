@@ -7,9 +7,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tropmoduli import build_poset, cli, plane
+from tropmoduli import INF, WeightedMarkedGraph, build_poset, cli, plane
 from tropmoduli.cli import dispatch
 from tropmoduli.errors import ResourceBoundExceeded
+from tropmoduli.rationals import format_rational
+
+from test_metric import valid_models
 
 
 def run(capsys, *argv):
@@ -534,6 +537,50 @@ class TestFuzzedJson:
         code, _, err = run(capsys, command, str(path), *extra)
         assert code in (0, 1)
         assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+
+
+def _model_document(model):
+    return {
+        "components": [{"id": c, "genus": w} for c, w in model.components],
+        "nodes": [
+            {"a": a, "b": b, "length": format_rational(length)}
+            for a, b, length in model.nodes
+        ],
+        "markings": list(model.markings),
+    }
+
+
+class TestValidModels:
+    """Models valid by construction go through the CLI: the drawn graph and
+    lengths come back, and --normalize-volume refuses exactly the models
+    without a finite positive volume."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(drawn=valid_models())
+    def test_tropicalize_model(self, capsys, tmp_path, drawn):
+        model, graph = drawn
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_model_document(model)))
+        code, out, err = run(capsys, "tropicalize-model", str(path))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        read_back = WeightedMarkedGraph.from_json_dict(data["graph"])
+        assert read_back.canonical_key() == graph.canonical_key()
+        lengths = [length for _, _, length in model.nodes]
+        assert data["lengths"] == [format_rational(length) for length in lengths]
+        code, out, err = run(capsys, "tropicalize-model", str(path), "--normalize-volume")
+        if lengths and INF not in lengths:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["volume"] == "1"
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestUnreadableJson:

@@ -10,7 +10,6 @@ from tropmoduli import (
     build_poset,
     complex_dimension,
     enumerate_types,
-    link_cells,
 )
 from tropmoduli import complexes, enumeration
 from tropmoduli.complexes import hasse_dot, is_odd
@@ -94,25 +93,25 @@ class TestFacePoset:
 
 class TestLinkComplex:
     def test_one_cell_for_genus_one_one_mark(self):
-        link = link_cells(1, 1)
+        link = build_poset(1, 1)
         assert len(link.cells) == 1
         assert link.cells[0].dimension - 1 == 0
 
     def test_six_cells_for_genus_two(self):
-        link = link_cells(2, 0)
+        link = build_poset(2, 0)
         assert len(link.cells) == 6
 
     def test_four_cells_for_genus_one_two_marks(self):
-        link = link_cells(1, 2)
+        link = build_poset(1, 2)
         assert len(link.cells) == 4
 
     def test_cell_count_is_catalog_minus_one(self):
         for g, n in [(1, 3), (2, 1), (0, 5)]:
-            assert len(link_cells(g, n).cells) == enumerate_types(g, n).count - 1
+            assert len(build_poset(g, n).cells) == enumerate_types(g, n).count - 1
 
     def test_faces_reference_valid_cells(self):
         # cell i is type i + 1; child 0 is the cone point
-        link = link_cells(1, 3)
+        link = build_poset(1, 3)
         for parent, child, edge in link.covers:
             assert 0 <= parent - 1 < len(link.cells)
             assert child == 0 or 0 <= child - 1 < len(link.cells)
@@ -124,7 +123,7 @@ class TestLinkComplex:
                 assert parent_cone.dimension == 1
 
     def test_cell_dimensions_cover_range(self):
-        link = link_cells(1, 3)
+        link = build_poset(1, 3)
         dims = {c.dimension - 1 for c in link.cells}
         assert dims == set(range(0, link.dimension() + 1))
 

@@ -1,4 +1,5 @@
 import os
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from tropmoduli import (
 )
 
 from tropmoduli import enumeration
+from tropmoduli.complexes import is_odd
 from tropmoduli.graphs import _canonical_raw, _start_colors
 
 from oracles import (
@@ -53,6 +55,39 @@ class TestPublishedCounts:
             frozenset({frozenset({1, 3}), frozenset({2, 4})}),
             frozenset({frozenset({1, 4}), frozenset({2, 3})}),
         }
+
+
+def one_edge_count(g, n):
+    """Closed form for the one-edge level of (g, n).
+
+    A one-edge type is the loop at a vertex of weight g - 1 (when g >= 1) or
+    a separating edge between (g1, K) and (g - g1, complement of K), both
+    sides stable: g1 >= 1 or |K| >= 2, and the same for the other side.  s
+    counts the ordered splits; each unordered one is counted twice, except
+    the symmetric split of n = 0 and even g >= 2, which is counted once.
+    """
+    s = sum(
+        comb(n, k) * max(0, g + 1 - (k <= 1) - (n - k <= 1)) for k in range(n + 1)
+    )
+    symmetric = n == 0 and g % 2 == 0 and g >= 2
+    return (g >= 1) + (s + symmetric) // 2
+
+
+class TestOneEdgeLevel:
+    @pytest.mark.parametrize(
+        "g,n",
+        [
+            (g, n)
+            for g in range(5)
+            for n in range(7)
+            if 2 * g - 2 + n > 0 and 1 <= max_edges(g, n) <= 7
+        ],
+    )
+    def test_closed_form_and_every_cell_survives(self, g, n):
+        catalog = enumerate_types(g, n)
+        assert catalog.f_vector[1] == one_edge_count(g, n)
+        one_edge = [key for key in catalog.keys if len(key[1]) == 1]
+        assert not any(is_odd(*key) for key in one_edge)
 
 
 class TestContract:

@@ -9,9 +9,9 @@ from tropmoduli import (
     ResourceBoundExceeded,
     WeightedMarkedGraph,
     build_chain_complex,
+    build_poset,
     enumerate_types,
     euler_characteristic,
-    link_cells,
     reduced_homology,
     top_weight_cohomology,
 )
@@ -35,7 +35,7 @@ _chains = {}
 def chain_of(g, n):
     """Chain complexes shared by the tests of this module, built once."""
     if (g, n) not in _chains:
-        _chains[(g, n)] = build_chain_complex(link_cells(g, n))
+        _chains[(g, n)] = build_chain_complex(build_poset(g, n))
     return _chains[(g, n)]
 
 
@@ -173,13 +173,13 @@ class TestClearing:
 
 class TestChainComplex:
     def test_single_zero_cell_for_one_marked_genus_one(self):
-        chain = build_chain_complex(link_cells(1, 1))
+        chain = build_chain_complex(build_poset(1, 1))
         assert chain.rank_of_chain_group(0) == 1
         assert chain.rank_of_chain_group(1) == 0
         assert chain.rank_of_chain_group(-1) == 1
 
     def test_theta_cell_is_killed(self, theta):
-        link = link_cells(2, 0)
+        link = build_poset(2, 0)
         chain = build_chain_complex(link)
         killed_keys = {
             link.cells[i].graph.canonical_key()
@@ -193,7 +193,7 @@ class TestChainComplex:
         assert chain.rank_of_chain_group(0) == 2
 
     def test_boundary_squares_to_zero_explicitly(self):
-        chain = build_chain_complex(link_cells(1, 4))
+        chain = build_chain_complex(build_poset(1, 4))
         for p in range(1, chain.top_degree() + 1):
             lower = chain.boundaries[p - 1]
             for col in chain.boundaries[p]:
@@ -204,7 +204,7 @@ class TestChainComplex:
                 assert all(v == 0 for v in acc.values())
 
     def test_augmentation_hits_every_zero_cell(self):
-        chain = build_chain_complex(link_cells(0, 5))
+        chain = build_chain_complex(build_poset(0, 5))
         assert chain.rank_of_basis(-1) == 1
         assert len(chain.boundaries[0]) == 10
         for col in chain.boundaries[0]:
@@ -222,15 +222,21 @@ class TestChainComplex:
 class TestContractionTable:
     @pytest.mark.parametrize("g,n", [(1, 3), (1, 4), (2, 2), (2, 3), (0, 6)])
     def test_columns_match_per_cell_route(self, g, n):
-        link = link_cells(g, n)
+        link = build_poset(g, n)
         chain = build_chain_complex(link)
         generators, boundaries = reference_boundary_columns(link)
-        assert chain.generators_by_degree == generators
+
+        def triples(cells_by_degree):  # cell i is type i + 1
+            return tuple(
+                tuple(link.keys[i + 1] for i in cells) for cells in cells_by_degree
+            )
+
+        assert chain.generators_by_degree == triples(generators)
         if g > 0:
             generators, boundaries = restricted_to_relative_basis(
                 link, generators, boundaries
             )
-        assert chain.basis_by_degree == generators
+        assert chain.basis_by_degree == triples(generators)
         assert chain.boundaries == boundaries
 
     @pytest.mark.parametrize("g,n", [(2, 3), (1, 5), (3, 0)])
@@ -263,7 +269,7 @@ class TestGeneratorPass:
         counted(homology, "_contract_raw")
         counted(homology, "_canonical_raw")
         counted(enumeration, "_canonical_raw")
-        link = link_cells(2, 4)
+        link = build_poset(2, 4)
         build_chain_complex(link)
         basis_edges, distinct_contractions, enumerated = 1_109, 358, 6_786
         assert calls == {
@@ -335,12 +341,12 @@ class TestRelativeRoute:
          (3, 0), (3, 1), (4, 0)],
     )
     def test_betti_numbers_match_the_whole_link(self, g, n):
-        assert reduced_homology(g, n).reduced_betti == reference_betti(link_cells(g, n))
+        assert reduced_homology(g, n).reduced_betti == reference_betti(build_poset(g, n))
 
     def test_euler_audit_catches_a_missing_basis_cell(self, monkeypatch):
         # drop one top-degree cell of (1, 4) from the basis of the pair
-        link = link_cells(1, 4)
-        dropped = link.keys[chain_of(1, 4).basis_by_degree[-1][0] + 1]
+        link = build_poset(1, 4)
+        dropped = chain_of(1, 4).basis_by_degree[-1][0]
         in_basis = homology._simple_weight_zero
 
         def one_short(*key):
@@ -402,7 +408,7 @@ class TestResourceBound:
         assert err.value.chain_ranks is not None
         assert sum(err.value.chain_ranks) > 10
         # the cap and the matrices read the same generator list
-        chain = build_chain_complex(link_cells(1, 5))
+        chain = build_chain_complex(build_poset(1, 5))
         assert err.value.chain_ranks == tuple(map(len, chain.generators_by_degree))
 
     def test_cap_refuses_before_any_contraction(self, monkeypatch):
