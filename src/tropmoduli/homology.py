@@ -10,7 +10,7 @@ them is an odd automorphism.
 The boundary of a surviving cell with ordered edges e_0 < ... < e_p is the
 alternating sum over i of its contraction at e_i, rewritten to the canonical
 representative with the sign of the comparison permutation; summands landing
-on killed cells are dropped.  Degree -1 holds the augmentation: contracting
+on killed cells are dropped.  Degree -1 holds the cone point: contracting
 the single edge of a 0-cell lands on the edgeless type with coefficient +1.
 Only the matrix basis is contracted, one degree at a time: a contraction
 with a repeated edge lands on a killed cell and is dropped before it is
@@ -20,17 +20,18 @@ every cell is read from its canonical triple, so no graph, cone or face
 poset cover is built, and the generator cap refuses a job before any
 contraction.
 
-For g >= 1 the matrices are those of the pair (link, link^lw), where
-link^lw is the subcomplex of cells with a loop or a vertex of positive
-weight.  It is contractible (Chan, Galatius and Payne, arXiv 1805.10186 for
-n = 0 and arXiv 1903.07187 with marked points), so the reduced homology of
-the link equals the homology of the pair.  Its basis is the surviving cells
-of weight 0 without a loop or a repeated edge (Kontsevich's graph complex
-with legs).  Contracting a non-loop edge of such a graph makes no loop and no
-weight; a result with a parallel pair is odd, and any other result is again
-in the basis unless it is killed.  So no face lands in link^lw, and there is
-no augmentation row.  For g = 0, link^lw is empty and the basis is every
-surviving cell, with the augmentation.
+The matrices are those of the augmented chains of the link modulo those of
+link^lw, the cells with a loop or a vertex of positive weight, the cone point
+of degree -1 included.  For g >= 1 link^lw is contractible (Chan, Galatius
+and Payne, arXiv 1805.10186 for n = 0 and arXiv 1903.07187 with marked
+points), so its augmented chains are acyclic; for g = 0 it is empty.  Either
+way the quotient has the reduced homology of the link, and its basis in
+every degree is the surviving cells of weight 0 without a loop or a repeated
+edge (Kontsevich's graph complex with legs); every genus-0 type, the cone
+point included, is one.  Contracting a non-loop edge of such a graph makes no
+loop and no weight; a result with a parallel pair is odd, and any other
+result is again in the basis unless it is killed, so no face lands in
+link^lw.
 
 Ranks are taken in cohomology order.  The boundary out of degree p is
 transposed into the coboundary delta_p, whose columns are the basis cells of
@@ -48,9 +49,9 @@ of giving a wrong rank here.
 
 The Euler characteristic is read off the chain ranks, the counts of all
 surviving cells.  The alternating sum of the Betti numbers telescopes to
-that of the basis ranks, and the two must agree: for g >= 1 they come from
-different complexes, so every run checks the contractibility step, while for
-g = 0 the check is a tautology.  A negative Betti number is refused.
+that of the basis ranks, and the two must agree: unless link^lw is empty
+they come from different complexes, so every run checks the contractibility
+step.  A negative Betti number is refused.
 
 All ranks are computed by exact integer elimination; no floating point
 arithmetic appears anywhere in this module.
@@ -82,12 +83,11 @@ class ChainComplex:
 
     generators_by_degree[p] holds the canonical triples of the surviving
     cells of dimension p, in catalog order; they give the chain ranks.
-    basis_by_degree[p] holds the triples that index the matrices: every
-    generator for g = 0, the simple weight-0 ones of the pair (link,
-    link^lw) for g >= 1 (see the module docstring).  boundaries[p] holds one
-    sparse column per basis cell of degree p, mapping into the basis of
-    degree p - 1; for g = 0, degree 0 maps to the one-dimensional
-    augmentation, row 0, and for g >= 1 there is no augmentation.
+    basis_by_degree[p] holds the triples that index the matrices: the
+    generators outside link^lw (see the module docstring).  boundaries[p]
+    holds one sparse column per basis cell of degree p, mapping into the
+    basis of degree p - 1; the basis of degree -1 is the cone point when it
+    passes the same test, and is empty otherwise.
     """
 
     g: int
@@ -105,7 +105,7 @@ class ChainComplex:
 
     def rank_of_basis(self, p: int) -> int:
         if p == -1:
-            return int(self.g == 0)
+            return int(_simple_weight_zero((self.g,), (), (0,) * self.n))
         if 0 <= p < len(self.basis_by_degree):
             return len(self.basis_by_degree[p])
         return 0
@@ -150,37 +150,32 @@ class HomologyProfile:
 
 
 def build_chain_complex(link: FacePoset) -> ChainComplex:
-    """Assemble boundary matrices over the basis (the generators for g = 0,
-    the simple weight-0 ones for g >= 1) and verify d(d(x)) = 0 in every
-    degree."""
+    """Assemble boundary matrices over the basis, the cells outside link^lw
+    in every degree from the cone point's up, and verify d(d(x)) = 0 in
+    every degree."""
     generators = link.generators
-    if link.g == 0:
-        basis = generators
-        rows = {link.keys[0]: 0}  # the cone point is the augmentation row
-    else:
-        basis = tuple(
-            tuple(key for key in keys if _simple_weight_zero(*key))
-            for keys in generators
-        )
-        rows = {}
-    boundaries = []
-    for keys in basis:
-        boundaries.append(_boundary_columns(keys, rows))
-        rows = {key: row for row, key in enumerate(keys)}
+    basis = tuple(
+        tuple(key for key in keys if _simple_weight_zero(*key))
+        for keys in ((link.keys[0],), *generators)
+    )
     complex_ = ChainComplex(
         g=link.g,
         n=link.n,
         generators_by_degree=generators,
-        basis_by_degree=basis,
-        boundaries=tuple(boundaries),
+        basis_by_degree=basis[1:],
+        boundaries=tuple(
+            _boundary_columns(keys, {key: row for row, key in enumerate(below)})
+            for below, keys in zip(basis, basis[1:])
+        ),
     )
     _verify_square_zero(complex_)
     return complex_
 
 
 def _simple_weight_zero(weights, edges, markings) -> bool:
-    """Whether a surviving type lies outside link^lw.  It has no repeated
-    edge: parity has already killed every type with one."""
+    """Whether a surviving type lies outside link^lw: weight 0 and no loop.
+    It has no repeated edge, since parity has already killed every type with
+    one.  For g = 0 every type passes, the cone point included."""
     return not any(weights) and all(u != v for u, v in edges)
 
 
@@ -374,9 +369,10 @@ def homology_of_chain(chain: ChainComplex) -> HomologyProfile:
 
     The Euler characteristic is read off the chain ranks, the counts of all
     surviving cells.  With r_(-1) = r_(top+1) = 0, the alternating sum of the
-    Betti numbers telescopes to that of the basis ranks; it must equal the
-    Euler characteristic, which for g >= 1 checks that link^lw contributes
-    nothing.  A negative Betti number is refused.
+    Betti numbers telescopes to that of the basis ranks, the cone point
+    counted in degree -1 when it is in the basis; it must equal the Euler
+    characteristic, which checks that link^lw contributes nothing.  A
+    negative Betti number is refused.
     """
     degrees = range(-1, chain.top_degree() + 1)
     dims = [chain.rank_of_chain_group(p) for p in degrees]

@@ -1,6 +1,18 @@
+import os
+
 import pytest
 
 from tropmoduli import WeightedMarkedGraph
+
+
+@pytest.fixture(autouse=True)
+def _without_tropmoduli_settings(monkeypatch):
+    """Run every test, and every process it starts, without the caller's
+    TROPMODULI_* settings; TROPMODULI_EXTENDED, which opts into the long
+    tests, is kept.  A test that sets a variable itself still does."""
+    for name in list(os.environ):
+        if name.startswith("TROPMODULI_") and name != "TROPMODULI_EXTENDED":
+            monkeypatch.delenv(name)
 
 
 @pytest.fixture

@@ -15,6 +15,11 @@ cell by cell, as the package once assembled them (contract an edge,
 canonicalize the result with a certificate, take the sign of its edge
 relabeling), to check the contraction table that replaced that route.
 
+One more uses the package's canonical labeling: the trace of a permutation
+of the markings on the chain line of a surviving cell, read from the
+definition (move the markings, and compare the canonical key and the edge
+relabeling), for Lefschetz numbers that the matrices never see.
+
 One reference keeps the package's canonical labeling as it was before its
 shortcuts: tuple start colors, refinement to a fixpoint and a search that
 branches on every vertex of the first non-singleton class, at every node.
@@ -254,6 +259,39 @@ def reference_boundary_columns(link):
     return (
         tuple(tuple(gens) for gens in generators),
         tuple(tuple(column_for(i) for i in gens) for gens in generators),
+    )
+
+
+def equivariant_trace(triple, sigma):
+    """Trace of sigma, a permutation of the marking labels given as a tuple
+    of images, on the chain line of the surviving cell with canonical triple
+    triple.
+
+    Marking k moves to sigma[k].  The result is canonicalized: when it is
+    not the cell itself the trace is 0, and otherwise it is the sign of the
+    edge relabeling onto the canonical order.  That sign does not depend on
+    the leaf the labeling picks, because a surviving cell has only even
+    automorphisms.
+    """
+    from tropmoduli.graphs import _canonical_raw, _edge_relabeling, perm_sign
+
+    weights, edges, markings = triple
+    moved = [0] * len(markings)
+    for k, v in enumerate(markings):
+        moved[sigma[k]] = v
+    key, pos = _canonical_raw(weights, edges, tuple(moved))
+    if key != triple:
+        return 0
+    return perm_sign(_edge_relabeling(edges, pos))
+
+
+def lefschetz_number(cells_by_degree, sigma):
+    """Sum over p of (-1)**p times the trace of sigma on the chains of
+    degree p, for canonical triples listed from degree -1 upward (the cone
+    point, when it is listed, contributes -1)."""
+    return sum(
+        (-1) ** p * sum(equivariant_trace(t, sigma) for t in cells)
+        for p, cells in enumerate(cells_by_degree, -1)
     )
 
 

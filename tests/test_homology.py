@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -17,6 +18,7 @@ from tropmoduli import (
 )
 from tropmoduli import enumeration, homology
 from tropmoduli.complexes import is_odd
+from tropmoduli.graphs import perm_sign
 from tropmoduli.homology import (
     _coboundary_ranks,
     homology_of_chain,
@@ -24,6 +26,7 @@ from tropmoduli.homology import (
 )
 
 from oracles import (
+    lefschetz_number,
     reference_betti,
     reference_boundary_columns,
     reference_sparse_integer_rank,
@@ -50,10 +53,12 @@ def simple_weight_zero(graph):
 
 def restricted_to_relative_basis(link, generators, boundaries):
     """The per-cell route's generators and columns, restricted to the simple
-    weight-0 cells and reindexed; rows outside them, the augmentation row
-    included, are dropped."""
+    weight-0 cells and reindexed; the augmentation row is kept exactly when
+    the cone point is such a cell, and every other row outside them is
+    dropped."""
     basis, columns = [], []
-    rows = {}  # row of degree p - 1 in the per-cell route -> basis row
+    # row of degree p - 1 in the per-cell route -> basis row
+    rows = {0: 0} if simple_weight_zero(link.strata[0]) else {}
     for gens, cols in zip(generators, boundaries):
         kept = [j for j, i in enumerate(gens) if simple_weight_zero(link.cells[i].graph)]
         basis.append(tuple(gens[j] for j in kept))
@@ -62,6 +67,48 @@ def restricted_to_relative_basis(link, generators, boundaries):
         )
         rows = {j: k for k, j in enumerate(kept)}
     return tuple(basis), tuple(columns)
+
+
+def cycle_type_representatives(n):
+    """One permutation of range(n) per cycle type, as (cycle lengths in
+    descending order, tuple of images)."""
+
+    def partitions(m, largest):
+        if m == 0:
+            yield ()
+        for part in range(min(m, largest), 0, -1):
+            for rest in partitions(m - part, part):
+                yield (part,) + rest
+
+    for lengths in partitions(n, n):
+        sigma, start = [], 0
+        for length in lengths:
+            sigma += [start + (i + 1) % length for i in range(length)]
+            start += length
+        yield lengths, tuple(sigma)
+
+
+def basis_lefschetz(g, n, sigma):
+    """Lefschetz number of sigma on the matrix basis of (g, n), the cone
+    point counted in degree -1 when it is in the basis."""
+    chain = chain_of(g, n)
+    cone = ((g,), (), (0,) * n)
+    return lefschetz_number(
+        ((cone,) * chain.rank_of_basis(-1), *chain.basis_by_degree), sigma
+    )
+
+
+def lie_character(m, lengths):
+    """Character of Lie_m at a permutation with these cycle lengths:
+    mu(d) d**(m/d - 1) (m/d - 1)! when all are d, and 0 otherwise."""
+    d = lengths[0]
+    if any(length != d for length in lengths):
+        return 0
+    primes = [
+        p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))
+    ]
+    mobius = 0 if any(d % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+    return mobius * d ** (m // d - 1) * factorial(m // d - 1)
 
 
 def random_columns(rng, nrows, ncols, density):
@@ -203,14 +250,17 @@ class TestChainComplex:
                         acc[row] = acc.get(row, 0) + c1 * c2
                 assert all(v == 0 for v in acc.values())
 
-    def test_augmentation_hits_every_zero_cell(self):
-        chain = build_chain_complex(build_poset(0, 5))
+    @pytest.mark.parametrize("g,n", [(0, 4), (0, 5), (0, 6), (0, 7)])
+    def test_augmentation_hits_every_zero_cell(self, g, n):
+        chain = chain_of(g, n)
+        assert chain.basis_by_degree == chain.generators_by_degree
         assert chain.rank_of_basis(-1) == 1
-        assert len(chain.boundaries[0]) == 10
+        # a 1-edge tree splits the markings into two parts of two or more
+        assert len(chain.boundaries[0]) == 2 ** (n - 1) - n - 1
         for col in chain.boundaries[0]:
             assert col == ((0, 1),)
 
-    @pytest.mark.parametrize("g,n", [(1, 4), (2, 0), (3, 0)])
+    @pytest.mark.parametrize("g,n", [(1, 3), (1, 4), (2, 0), (2, 2), (3, 0)])
     def test_no_augmentation_row_for_positive_genus(self, g, n):
         # a 1-edge type of genus g >= 1 has a loop or a positive weight
         chain = chain_of(g, n)
@@ -232,10 +282,9 @@ class TestContractionTable:
             )
 
         assert chain.generators_by_degree == triples(generators)
-        if g > 0:
-            generators, boundaries = restricted_to_relative_basis(
-                link, generators, boundaries
-            )
+        generators, boundaries = restricted_to_relative_basis(
+            link, generators, boundaries
+        )
         assert chain.basis_by_degree == triples(generators)
         assert chain.boundaries == boundaries
 
@@ -333,15 +382,57 @@ class TestPublishedRanks:
         assert nonzero == {6: factorial(6) // 2} == {6: 360}
         assert profile.euler_reduced == 360
 
+    # as S_n-representations H~_(n-4) of the genus-0 link is
+    # sgn (x) (Ind Lie_(n-1) - Lie_n), the induction from the stabilizer of a
+    # point (Robinson and Whitehouse, "The tree representation of
+    # Sigma_(n+1)", JPAA 1996); it is the only nonzero group
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_genus_zero_character(self, n):
+        for lengths, sigma in cycle_type_representatives(n):
+            fixed = lengths.count(1)  # lengths[:-1] drops one fixed point
+            induced = fixed * lie_character(n - 1, lengths[:-1]) if fixed else 0
+            character = perm_sign(sigma) * (induced - lie_character(n, lengths))
+            assert basis_lefschetz(0, n, sigma) == (-1) ** (n - 4) * character
+
+    # H~_(n-1) of the genus-1 link has a basis of the n-gons, one per cyclic
+    # order of the markings up to reversal, on which S_n acts by the sign of
+    # the edge permutation (Chan-Galatius-Payne, arXiv 1903.07187)
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_genus_one_character(self, n):
+        gons = [(0, *rest) for rest in permutations(range(1, n)) if rest[0] < rest[-1]]
+        for _, sigma in cycle_type_representatives(n):
+            character = 0
+            for order in gons:
+                edges = [frozenset((order[i - 1], order[i])) for i in range(n)]
+                moved = [frozenset(sigma[k] for k in e) for e in edges]
+                if set(moved) == set(edges):
+                    character += perm_sign(tuple(edges.index(e) for e in moved))
+            assert basis_lefschetz(1, n, sigma) == (-1) ** (n - 1) * character
+
 
 class TestRelativeRoute:
     @pytest.mark.parametrize(
         "g,n",
-        [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 0), (2, 1), (2, 2), (2, 3),
-         (3, 0), (3, 1), (4, 0)],
+        [(0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 0), (2, 1),
+         (2, 2), (2, 3), (3, 0), (3, 1), (4, 0)],
     )
     def test_betti_numbers_match_the_whole_link(self, g, n):
         assert reduced_homology(g, n).reduced_betti == reference_betti(build_poset(g, n))
+
+    # link^lw is S_n-stable and its augmented chains are acyclic, so it adds
+    # nothing to the Lefschetz number of any permutation of the markings
+    @pytest.mark.parametrize("g,n", [(1, 3), (1, 4), (1, 5), (2, 2), (2, 3)])
+    def test_lefschetz_numbers_match_the_whole_link(self, g, n):
+        link = build_poset(g, n)
+        whole = ((link.keys[0],), *link.generators)
+        basis = tuple(
+            tuple(t for t in cells if simple_weight_zero(WeightedMarkedGraph(*t)))
+            for cells in whole
+        )
+        for _, sigma in cycle_type_representatives(n):
+            assert lefschetz_number(whole, sigma) == lefschetz_number(basis, sigma)
+        identity = tuple(range(n))
+        assert lefschetz_number(whole, identity) == euler_characteristic(g, n)
 
     def test_euler_audit_catches_a_missing_basis_cell(self, monkeypatch):
         # drop one top-degree cell of (1, 4) from the basis of the pair
