@@ -35,6 +35,7 @@ from .errors import (
     ResourceBoundExceeded,
     UnstableTypeError,
 )
+from .graphs import _edge_group_raw
 from .metric import StableModelDescription, tropicalize_model
 from .plane import TropicalPolynomial, _tropical_curve, newton_subdivision, render_svg
 
@@ -119,12 +120,100 @@ def _check_writable(path: str | None) -> None:
         raise OSError(code, os.strerror(code), path)
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(pieces, path: str | None) -> None:
+    """Write the pieces of text in order to path, or to stdout without one."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
+
+
+# The JSON that enumerate and complex print grows with the catalog, so it is
+# written in pieces, straight from the canonical triples, in the layout of
+# json.dumps(..., indent=2).  Whatever can fail is computed before the first
+# piece: the pieces only format.
+
+_FACE_BATCH = 1000
+
+
+def _json_list(pieces, pad: str):
+    """Yield a JSON list as json.dumps(..., indent=2) prints it with its
+    bracket at indent pad.  A piece is one rendered item, or several joined
+    by the item separator ",\n" + pad + "  "."""
+    first = True
+    for piece in pieces:
+        yield f"[\n{pad}  {piece}" if first else f",\n{pad}  {piece}"
+        first = False
+    yield "[]" if first else f"\n{pad}]"
+
+
+def _inline_list(items, pad: str) -> str:
+    return "".join(_json_list(items, pad))
+
+
+def _graph_json(weights, edges, markings, pad: str) -> str:
+    """A (weights, edges, markings) graph as json.dumps(to_json_dict(),
+    indent=2) prints it with its brace at indent pad."""
+    key, item = pad + "  ", pad + "    "
+    inner = item + "  "
+    vertices = [
+        f'{{\n{inner}"id": {v},\n{inner}"weight": {w}\n{item}}}'
+        for v, w in enumerate(weights)
+    ]
+    pairs = [f"[\n{inner}{u},\n{inner}{v}\n{item}]" for u, v in edges]
+    return (
+        f'{{\n{key}"vertices": {_inline_list(vertices, key)},'
+        f'\n{key}"edges": {_inline_list(pairs, key)},'
+        f'\n{key}"markings": {_inline_list(map(str, markings), key)}\n{pad}}}'
+    )
+
+
+def _enumerate_json(catalog):
+    yield (
+        f'{{\n  "g": {catalog.g},\n  "n": {catalog.n},\n  "count": {catalog.count},'
+        f'\n  "f_vector": {_inline_list(map(str, catalog.f_vector), "  ")},'
+        '\n  "types": '
+    )
+    yield from _json_list((_graph_json(*key, "    ") for key in catalog.keys), "  ")
+    yield "\n}\n"
+
+
+def _complex_json(link):
+    """The complex JSON of a link, in pieces.  Cell i is type i + 1 and the
+    cone point is -1.  The covers and the edge groups are computed here, so
+    a failure comes before the first piece."""
+    covers = link.covers
+    types = link.keys[1:]
+    groups = [_edge_group_raw(*key) for key in types]
+
+    cells = (
+        f'{{\n      "index": {i},\n      "dimension": {len(key[1]) - 1},'
+        f'\n      "edge_group_order": {group.order},'
+        f'\n      "has_odd_element": {"true" if group.has_odd_element else "false"},'
+        f'\n      "graph": {_graph_json(*key, "      ")}\n    }}'
+        for i, (key, group) in enumerate(zip(types, groups))
+    )
+    faces = (
+        ",\n    ".join(
+            f"[\n      {p - 1},\n      {c - 1},\n      {e}\n    ]"
+            for p, c, e in covers[start:start + _FACE_BATCH]
+        )
+        for start in range(0, len(covers), _FACE_BATCH)
+    )
+
+    def pieces():
+        yield (
+            f'{{\n  "g": {link.g},\n  "n": {link.n},'
+            f'\n  "link_dimension": {link.dimension()},'
+            f'\n  "num_cells": {len(types)},\n  "cells": '
+        )
+        yield from _json_list(cells, "  ")
+        yield ',\n  "faces": '
+        yield from _json_list(faces, "  ")
+        yield "\n}\n"
+
+    return pieces()
 
 
 _FORMATS = {
@@ -241,50 +330,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_enumerate(args) -> None:
     catalog = enumerate_types(args.genus, args.markings, threads=args.threads)
     if args.format == "json":
-        payload = {
-            "g": catalog.g,
-            "n": catalog.n,
-            "count": catalog.count,
-            "f_vector": list(catalog.f_vector),
-            "types": [t.to_json_dict() for t in catalog.strata],
-        }
-        _write(_dump_json(payload), args.output)
+        _write(_enumerate_json(catalog), args.output)
     elif args.format == "csv":
         lines = ["edges,count"]
         lines += [f"{e},{c}" for e, c in enumerate(catalog.f_vector)]
-        _write("\n".join(lines) + "\n", args.output)
+        _write(["\n".join(lines) + "\n"], args.output)
     else:
         blocks = [t.to_dot(name=f"type{i}") for i, t in enumerate(catalog.strata)]
-        _write("".join(blocks), args.output)
+        _write(blocks, args.output)
 
 
 def _run_complex(args) -> None:
     if args.format == "dot":
-        poset = build_poset(args.genus, args.markings)
-        _write(hasse_dot(poset), args.output)
-        return
-    link = link_cells(args.genus, args.markings)
-    # cell i is type i + 1 and the cone point is -1; the list lookup lets all
-    # rows share one int object per cell, where p - 1 would make one per row
-    cell = list(range(-1, len(link.cells)))
-    payload = {
-        "g": args.genus,
-        "n": args.markings,
-        "link_dimension": link.dimension(),
-        "num_cells": len(link.cells),
-        "cells": [
-            {
-                "index": i,
-                "dimension": cone.dimension - 1,
-                "edge_group_order": cone.edge_group.order,
-                "has_odd_element": cone.edge_group.has_odd_element,
-                "graph": cone.graph.to_json_dict(),
-            }
-            for i, cone in enumerate(link.cells)
-        ],
-        "faces": [[cell[p], cell[c], e] for p, c, e in link.covers],
-    }
-    _write(_dump_json(payload), args.output)
+        _write([hasse_dot(build_poset(args.genus, args.markings))], args.output)
+    else:
+        _write(_complex_json(link_cells(args.genus, args.markings)), args.output)
 
 
 def _run_homology(args) -> None:
@@ -300,7 +360,7 @@ def _run_homology(args) -> None:
             "euler": profile.euler_reduced,
             "top_weight": {str(k): r for k, r in sorted(top_weight.items())},
         }
-        _write(_dump_json(payload), args.output)
+        _write([_dump_json(payload)], args.output)
     else:
         if args.top_weight:
             lines = ["cohomological_degree,rank"]
@@ -311,7 +371,7 @@ def _run_homology(args) -> None:
                 f"{p},{profile.chain_ranks[p + 1]},{profile.reduced_betti[p + 1]}"
                 for p in range(0, profile.top_degree() + 1)
             ]
-        _write("\n".join(lines) + "\n", args.output)
+        _write(["\n".join(lines) + "\n"], args.output)
 
 
 def _load_json(path: str, error_cls):
@@ -330,9 +390,9 @@ def _run_tropicalize_model(args) -> None:
     if args.normalize_volume:
         metric = metric.rescale_to_volume_one()
     if args.format == "json":
-        _write(_dump_json(metric.to_json_dict()), args.output)
+        _write([_dump_json(metric.to_json_dict())], args.output)
     else:
-        _write(metric.to_dot(), args.output)
+        _write([metric.to_dot()], args.output)
 
 
 def _run_tropicalize_plane(args) -> None:
@@ -350,10 +410,10 @@ def _run_tropicalize_plane(args) -> None:
             viewport = ()
         if len(viewport) != 4 or viewport[0] >= viewport[2] or viewport[1] >= viewport[3]:
             raise GraphError("viewport must be finite xmin,ymin,xmax,ymax with min < max")
-        _write(render_svg(curve, viewport=viewport, size=args.size), args.svg)
+        _write([render_svg(curve, viewport=viewport, size=args.size)], args.svg)
     payload = curve.to_json_dict()
     payload["newton_faces"] = [list(face) for face in sub.faces]
-    _write(_dump_json(payload), args.output)
+    _write([_dump_json(payload)], args.output)
 
 
 _RUNNERS = {

@@ -11,10 +11,11 @@ carried entirely by the edge group on each cell, whose parity is exactly what
 the homology of the link consumes.
 
 A FacePoset is the enumerated catalog, and it builds everything else on
-first read, so each consumer pays only for what it reads.  The covers, the
-catalog's graphs and the cones serve the complex output; homology reads the
-parity of each type straight from its triple and contracts only the
-surviving cells itself.  The poset is unsigned: incidence signs orient the
+first read, so each consumer pays only for what it reads.  The covers serve
+the complex output, which reads each cell's edge group straight from its
+triple; homology reads the parity of each type the same way and contracts
+only the surviving cells itself.  The cones build graph objects for callers
+that want them.  The poset is unsigned: incidence signs orient the
 chain complex, so they live in the homology module.  Purity is checked by
 the enumeration sweep, so every catalog this module reads is already pure.
 """
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .enumeration import TypeCatalog, enumerate_types, max_edges
+from .errors import InternalConsistencyError
 from .graphs import (
     EdgeAutomorphismGroup,
     WeightedMarkedGraph,
@@ -76,7 +78,8 @@ class FacePoset(TypeCatalog):
     covers holds (parent, child, edge) triples: contracting that edge of the
     parent type lands on the child type.  Isomorphic children reached through
     different edges are recorded once per edge, because boundary coefficients
-    need the multiplicity.  The full order is the transitive closure.
+    need the multiplicity.  The full order is the transitive closure.  A
+    contraction outside the catalog is an internal consistency error.
 
     cells[i] is the cone of type i + 1, since type 0, the cone point, is the
     only edgeless type; a type with d edges gives a cell of dimension d - 1,
@@ -104,7 +107,13 @@ class FacePoset(TypeCatalog):
                 contracted = _contract_raw(*triple, e)
                 child = landing.get(contracted)
                 if child is None:
-                    child = landing[contracted] = index[_canonical_raw(*contracted)[0]]
+                    child = index.get(_canonical_raw(*contracted)[0])
+                    if child is None:
+                        raise InternalConsistencyError(
+                            f"contracting edge {e} of type {i} {triple} lands "
+                            "outside the catalog"
+                        )
+                    landing[contracted] = child
                 covers.append((i, child, e))
         return tuple(covers)
 
@@ -138,7 +147,7 @@ def build_poset(g: int, n: int) -> FacePoset:
 
 
 def link_cells(g: int, n: int) -> FacePoset:
-    """The link of (g, n): its face poset, read through cells and covers."""
+    """The link of (g, n): its face poset, read through its keys and covers."""
     return build_poset(g, n)
 
 

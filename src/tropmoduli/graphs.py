@@ -13,8 +13,9 @@ The two nontrivial algorithms live here:
   by (weight, marking set, valence, loop count).  When those start colors
   are pairwise distinct, refinement could only keep their order, so the
   labeling is read off by ranking them: no adjacency, refinement or
-  search.  Otherwise refinement stops as soon as a round splits no class,
-  and a partition that refinement makes discrete is encoded at once;
+  search.  Otherwise refinement stops as soon as a round splits no class
+  or makes the partition discrete, and a discrete partition is encoded at
+  once;
 * the order and parity of the edge-permutation image of the automorphism
   group, counted from the same search without listing its elements: the
   vertex automorphisms are the relabelings between its minimal leaves, and
@@ -362,7 +363,8 @@ def _refine_ranks(nv, adj, colors: list[int], count: int) -> tuple[list[int], in
     Takes integer colors forming count classes and returns dense ranks of
     the stable partition with its class count.  A round sorts by the old
     color first, so it only splits classes; once the class count stops
-    growing the ranks are fixed, and no further round is needed.
+    growing, or reaches nv, the ranks are fixed, and no further round is
+    needed: with distinct colors a round sorts by the color alone.
     """
     while True:
         keys = [
@@ -372,8 +374,8 @@ def _refine_ranks(nv, adj, colors: list[int], count: int) -> tuple[list[int], in
         distinct = sorted(set(keys))
         rank = {k: i for i, k in enumerate(distinct)}
         colors = [rank[k] for k in keys]
-        if len(distinct) == count:
-            return colors, count
+        if len(distinct) in (count, nv):
+            return colors, len(distinct)
         count = len(distinct)
 
 

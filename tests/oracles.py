@@ -38,6 +38,11 @@ pins).  The package must produce the same levels in the same order.  The
 same reference keeps the acceptance test of that time, applied to every
 built candidate, so that each parent's accepted keys can be compared.
 
+Two references keep the CLI's catalog-sized JSON as it was printed before
+it was streamed: a payload tree built from graph objects (and, for
+`complex`, the link's cones), dumped whole by json.dumps.  The CLI must
+print the same bytes.
+
 Graphs are plain tuples (weights, edges, markings) in the same convention
 as the package: edges are sorted pairs, markings map label k to a vertex.
 """
@@ -45,6 +50,7 @@ as the package: edges are sorted pairs, markings map label k to a vertex.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from math import gcd
 
@@ -582,3 +588,45 @@ def reference_enumerate_keys(g, n):
             found.update(batch)
         level_keys.append(sorted(found, key=repr))
     return level_keys
+
+
+def reference_enumerate_json(g, n) -> str:
+    """`enumerate --format json` from the catalog's graph objects, dumped
+    whole."""
+    from tropmoduli.enumeration import enumerate_types
+
+    catalog = enumerate_types(g, n)
+    payload = {
+        "g": catalog.g,
+        "n": catalog.n,
+        "count": catalog.count,
+        "f_vector": list(catalog.f_vector),
+        "types": [t.to_json_dict() for t in catalog.strata],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_complex_json(g, n) -> str:
+    """`complex --format json` from the link's cones and graph objects,
+    dumped whole: cell i is type i + 1, and the cone point is -1."""
+    from tropmoduli.complexes import build_poset
+
+    link = build_poset(g, n)
+    payload = {
+        "g": g,
+        "n": n,
+        "link_dimension": link.dimension(),
+        "num_cells": len(link.cells),
+        "cells": [
+            {
+                "index": i,
+                "dimension": cone.dimension - 1,
+                "edge_group_order": cone.edge_group.order,
+                "has_odd_element": cone.edge_group.has_odd_element,
+                "graph": cone.graph.to_json_dict(),
+            }
+            for i, cone in enumerate(link.cells)
+        ],
+        "faces": [[p - 1, c - 1, e] for p, c, e in link.covers],
+    }
+    return json.dumps(payload, indent=2) + "\n"

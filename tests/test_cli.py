@@ -1,17 +1,20 @@
+import contextlib
 import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tropmoduli import INF, WeightedMarkedGraph, build_poset, cli, plane
+from tropmoduli import INF, WeightedMarkedGraph, build_poset, cli, complexes, plane
 from tropmoduli.cli import dispatch
 from tropmoduli.errors import ResourceBoundExceeded
 from tropmoduli.rationals import format_rational
 
+from oracles import reference_complex_json, reference_enumerate_json
 from test_metric import valid_models
 
 
@@ -115,6 +118,102 @@ class TestComplexCommand:
         )
         assert code == 0
         assert out.startswith("digraph hasse {")
+
+    def test_contraction_outside_catalog_is_internal_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        outside = ((9,), (), (0, 0))
+        monkeypatch.setattr(complexes, "_canonical_raw", lambda *triple: (outside, (0,)))
+        code, out, err = run(capsys, "complex", "--genus", "1", "--markings", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "edge 0 of type 1" in err and "outside the catalog" in err
+        target = tmp_path / "x.json"
+        target.write_text("kept\n")
+        code, out, err = run(
+            capsys,
+            "complex",
+            "--genus", "1", "--markings", "2",
+            "--output", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert target.read_text() == "kept\n"
+
+
+def _stdout_and_file(capsys, tmp_path, *argv):
+    """The bytes a command prints to stdout, and those it writes to --output."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "out.json"
+    code, empty, _ = run(capsys, *argv, "--output", str(target))
+    assert code == 0 and empty == ""
+    return out.encode(), target.read_bytes()
+
+
+class TestStreamedJson:
+    """The catalog-sized JSON is written in pieces; its bytes must equal the
+    whole payload dumped by json.dumps, as the CLI once printed it."""
+
+    @pytest.mark.parametrize(
+        "g,n", [(0, 3), (0, 5), (1, 1), (1, 2), (2, 0), (2, 3), (3, 0)]
+    )
+    def test_complex_bytes_match_payload_dump(self, capsys, tmp_path, g, n):
+        expected = reference_complex_json(g, n).encode()
+        out, written = _stdout_and_file(
+            capsys, tmp_path, "complex", "--genus", str(g), "--markings", str(n)
+        )
+        assert out == expected
+        assert written == expected
+
+    def test_cases_cover_empty_lists_and_face_batches(self):
+        assert build_poset(0, 3).covers == ()
+        assert build_poset(2, 0).n == 0
+        assert len(build_poset(2, 3).covers) > cli._FACE_BATCH
+
+    @pytest.mark.parametrize("g,n", [(1, 1), (0, 5), (2, 0), (2, 2)])
+    def test_enumerate_bytes_match_payload_dump(self, capsys, tmp_path, g, n):
+        expected = reference_enumerate_json(g, n).encode()
+        out, written = _stdout_and_file(
+            capsys, tmp_path, "enumerate", "--genus", str(g), "--markings", str(n)
+        )
+        assert out == expected
+        assert written == expected
+
+
+class _CountingSink:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+class TestOutputMemory:
+    def test_complex_json_peak_is_a_few_documents(self):
+        # the (2,3) document is 513,155 bytes; a payload tree dumped whole
+        # peaks near 12 times that, the streamed output below 3 times
+        document = 513_155
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = dispatch(["complex", "--genus", "2", "--markings", "3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.chars == document
+        assert peak < 4 * document
 
 
 class TestHomologyCommand:
