@@ -53,6 +53,24 @@ that of the basis ranks, and the two must agree: unless link^lw is empty
 they come from different complexes, so every run checks the contractibility
 step.  A negative Betti number is refused.
 
+Genus 0 takes a route of its own, from splits.  A stable genus-0 type is a
+tree whose leaves are the markings, and each of its edges is a split of the
+markings into two sides of two or more.  A set of splits comes from a tree
+iff the splits are pairwise compatible (Buneman, 1971), so the link is the
+flag simplicial complex of split compatibility: the space of phylogenetic
+trees (Billera, Holmes and Vogtmann, "Geometry of the space of phylogenetic
+trees", 2001).  The markings are distinct, so no cell has an automorphism
+and every cell survives.  A cell is the sorted tuple of its split indices,
+oriented by that order: the face without position i has coefficient
+(-1)**i, the simplicial orientation, and a vertex maps to the cone point
+with +1.  Nothing is enumerated or labelled.  The matrices differ from
+build_chain_complex's by that change of orientation and order, so the chain
+ranks, Betti numbers and Euler characteristic are the same.  The generator
+cap reads the chain ranks from a closed form for the number of trees before
+any split is listed, the listed cells must match it, and the d(d(x)) = 0
+and Euler audits run as on the labelled route, which stays the genus-0
+oracle in the tests.
+
 All ranks are computed by exact integer elimination; no floating point
 arithmetic appears anywhere in this module.
 """
@@ -64,7 +82,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .complexes import FacePoset, _repeated_edge, link_cells
-from .enumeration import max_edges
+from .enumeration import max_edges, require_stable_range
 from .errors import InternalConsistencyError, ResourceBoundExceeded
 from .graphs import _canonical_raw, _contract_raw, _edge_relabeling, perm_sign
 
@@ -88,6 +106,9 @@ class ChainComplex:
     holds one sparse column per basis cell of degree p, mapping into the
     basis of degree p - 1; the basis of degree -1 is the cone point when it
     passes the same test, and is empty otherwise.
+
+    On the genus-0 route of reduced_homology both lists hold the cells as
+    sorted tuples of split indices instead, every cell in the basis.
     """
 
     g: int
@@ -338,6 +359,8 @@ def reduced_homology(
     g: int, n: int, max_generators: int | None = DEFAULT_MAX_GENERATORS
 ) -> HomologyProfile:
     """Exact reduced rational Betti numbers of the link of (g, n)."""
+    if g == 0:
+        return homology_of_chain(_tree_chain_complex(n, max_generators))
     link = link_cells(g, n)
     chain = chain_complex_within_bounds(link, max_generators=max_generators)
     return homology_of_chain(chain)
@@ -350,17 +373,108 @@ def chain_complex_within_bounds(
     """Build the chain complex unless the generator cap would be exceeded;
     the cap reads only the surviving cells, so it refuses before any
     contraction."""
-    if max_generators is not None:
-        sizes = tuple(map(len, link.generators))
-        total = sum(sizes)
-        if total > max_generators:
-            raise ResourceBoundExceeded(
-                f"(g, n) = ({link.g}, {link.n}) needs {total} generators, "
-                f"over the cap of {max_generators}; chain ranks by degree: "
-                f"{list(sizes)}",
-                chain_ranks=sizes,
-            )
+    _refuse_over_cap(link.g, link.n, tuple(map(len, link.generators)), max_generators)
     return build_chain_complex(link)
+
+
+def _refuse_over_cap(
+    g: int, n: int, sizes: tuple[int, ...], max_generators: int | None
+) -> None:
+    """Raise ResourceBoundExceeded when the chain ranks sizes, by degree
+    from 0, sum to more than max_generators (None is no cap)."""
+    total = sum(sizes)
+    if max_generators is not None and total > max_generators:
+        raise ResourceBoundExceeded(
+            f"(g, n) = ({g}, {n}) needs {total} generators, "
+            f"over the cap of {max_generators}; chain ranks by degree: "
+            f"{list(sizes)}",
+            chain_ranks=sizes,
+        )
+
+
+def _tree_counts(n: int) -> tuple[int, ...]:
+    """Trees with leaves 0 .. n - 1 and k internal edges, for k = 0 .. n - 3.
+
+    Deleting leaf m from a tree on leaves 0 .. m is undone in one way: leaf
+    m joins one of the k + 1 internal vertices of a tree with k internal
+    edges, or subdivides one of the m + k - 1 edges of a tree with k - 1:
+    T(m + 1, k) = (k + 1) T(m, k) + (m + k - 1) T(m, k - 1), T(3, 0) = 1.
+    """
+    counts = [1]
+    for m in range(3, n):
+        padded = [0, *counts, 0]
+        counts = [
+            (k + 1) * padded[k + 1] + (m + k - 1) * padded[k]
+            for k in range(len(counts) + 1)
+        ]
+    return tuple(counts)
+
+
+def _splits(n: int) -> tuple[int, ...]:
+    """The splits of markings 0 .. n - 1 with two or more on each side, each
+    the bitmask of its side without marking n - 1, in increasing order."""
+    return tuple(a for a in range(1 << (n - 1)) if 2 <= a.bit_count() <= n - 2)
+
+
+def _split_cliques(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The cells of the genus-0 link by degree p = 0 .. n - 4: the sets of
+    p + 1 pairwise compatible splits, as sorted tuples of split indices, in
+    lexicographic order.
+
+    Two sides without marking n - 1 are compatible iff they are disjoint or
+    nested.  Each clique keeps the bitmask of the later splits compatible
+    with all of its own, so every extension is read off one integer.
+    """
+    masks = _splits(n)
+    compatible = [
+        sum(1 << j for j, b in enumerate(masks) if (a & b) in (0, a, b)) for a in masks
+    ]
+    # -(2 << i) clears the bits 0 .. i
+    level = [((i,), c & -(2 << i)) for i, c in enumerate(compatible)]
+    cells = []
+    for _ in range(n - 3):
+        cells.append(tuple(cell for cell, _ in level))
+        extended = []
+        for cell, candidates in level:
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                j = low.bit_length() - 1
+                extended.append((cell + (j,), candidates & compatible[j]))
+        level = extended
+    return tuple(cells)
+
+
+def _simplicial_boundaries(cells) -> tuple[tuple[Column, ...], ...]:
+    """Boundary columns of sorted simplices listed by degree: the face
+    without position i has coefficient (-1)**i, and a vertex maps to the
+    cone point row with +1."""
+    boundaries = [tuple(((0, 1),) for _ in cells[0])] if cells else []
+    for below, above in zip(cells, cells[1:]):
+        rows = {cell: row for row, cell in enumerate(below)}
+        boundaries.append(tuple(
+            tuple(sorted((rows[c[:i] + c[i + 1 :]], (-1) ** i) for i in range(len(c))))
+            for c in above
+        ))
+    return tuple(boundaries)
+
+
+def _tree_chain_complex(n: int, max_generators: int | None) -> ChainComplex:
+    """The chain complex of the genus-0 link from splits (see the module
+    docstring), after the generator cap reads the chain ranks off
+    _tree_counts and before any split is listed; audited for d(d(x)) = 0."""
+    require_stable_range(0, n)
+    ranks = _tree_counts(n)[1:]
+    _refuse_over_cap(0, n, ranks, max_generators)
+    cells = _split_cliques(n)
+    if tuple(map(len, cells)) != ranks:
+        raise InternalConsistencyError(
+            f"(g, n) = (0, {n}) has {list(map(len, cells))} sets of compatible "
+            f"splits by degree, but {list(ranks)} trees"
+        )
+    chain = ChainComplex(0, n, cells, cells, _simplicial_boundaries(cells))
+    _verify_square_zero(chain)
+    return chain
 
 
 def homology_of_chain(chain: ChainComplex) -> HomologyProfile:

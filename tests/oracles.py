@@ -18,7 +18,9 @@ relabeling), to check the contraction table that replaced that route.
 One more uses the package's canonical labeling: the trace of a permutation
 of the markings on the chain line of a surviving cell, read from the
 definition (move the markings, and compare the canonical key and the edge
-relabeling), for Lefschetz numbers that the matrices never see.
+relabeling), for Lefschetz numbers that the matrices never see.  Its
+genus-0 counterpart acts on splits directly: move the markings, read the
+moved split sets, and take the sign of sorting the moved split indices.
 
 One reference keeps the package's canonical labeling as it was before its
 shortcuts: tuple start colors, refinement to a fixpoint and a search that
@@ -298,6 +300,49 @@ def lefschetz_number(cells_by_degree, sigma):
     return sum(
         (-1) ** p * sum(equivariant_trace(t, sigma) for t in cells)
         for p, cells in enumerate(cells_by_degree, -1)
+    )
+
+
+def split_action(splits, cells_by_degree, sigma):
+    """How sigma, a permutation of the markings given as a tuple of images,
+    acts on the chains of the genus-0 link built from splits.
+
+    splits lists each split as the bitmask of its side without the last
+    marking, and a cell is a sorted tuple of split indices, listed by degree
+    from 0.  Marking k moves to sigma[k]; a moved side that holds the last
+    marking is replaced by its complement.  Returns, per degree and per
+    cell, the row of the image cell and the sign of the permutation that
+    sorts the moved indices, by counting inversions.
+    """
+    n = len(sigma)
+    index = {mask: i for i, mask in enumerate(splits)}
+    moved = []
+    for mask in splits:
+        image = sum(1 << sigma[k] for k in range(n) if mask >> k & 1)
+        if image >> (n - 1) & 1:
+            image ^= (1 << n) - 1
+        moved.append(index[image])
+    action = []
+    for cells in cells_by_degree:
+        rows = {cell: row for row, cell in enumerate(cells)}
+        images = []
+        for cell in cells:
+            image = [moved[i] for i in cell]
+            inversions = sum(
+                a > b for i, a in enumerate(image) for b in image[i + 1 :]
+            )
+            images.append((rows[tuple(sorted(image))], (-1) ** inversions))
+        action.append(tuple(images))
+    return tuple(action)
+
+
+def split_lefschetz_number(splits, cells_by_degree, sigma):
+    """Sum over p of (-1)**p times the trace of sigma on the chains of the
+    genus-0 link from splits (see split_action), the cone point included in
+    degree -1."""
+    return -1 + sum(
+        (-1) ** p * sum(sign for j, (row, sign) in enumerate(images) if row == j)
+        for p, images in enumerate(split_action(splits, cells_by_degree, sigma))
     )
 
 

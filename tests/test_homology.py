@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -16,7 +19,7 @@ from tropmoduli import (
     reduced_homology,
     top_weight_cohomology,
 )
-from tropmoduli import enumeration, homology
+from tropmoduli import complexes, enumeration, graphs, homology
 from tropmoduli.complexes import is_odd
 from tropmoduli.graphs import perm_sign
 from tropmoduli.homology import (
@@ -30,6 +33,8 @@ from oracles import (
     reference_betti,
     reference_boundary_columns,
     reference_sparse_integer_rank,
+    split_action,
+    split_lefschetz_number,
 )
 
 _chains = {}
@@ -109,6 +114,16 @@ def lie_character(m, lengths):
     ]
     mobius = 0 if any(d % (p * p) == 0 for p in primes) else (-1) ** len(primes)
     return mobius * d ** (m // d - 1) * factorial(m // d - 1)
+
+
+def genus_zero_character(n, lengths, sigma):
+    """Character of H~_(n-4) of the genus-0 link at sigma, whose cycle
+    lengths are lengths: sgn (x) (Ind Lie_(n-1) - Lie_n), the induction from
+    the stabilizer of a point (Robinson and Whitehouse, "The tree
+    representation of Sigma_(n+1)", JPAA 1996)."""
+    fixed = lengths.count(1)  # lengths[:-1] drops one fixed point
+    induced = fixed * lie_character(n - 1, lengths[:-1]) if fixed else 0
+    return perm_sign(sigma) * (induced - lie_character(n, lengths))
 
 
 def random_columns(rng, nrows, ncols, density):
@@ -351,9 +366,7 @@ class TestPublishedRanks:
         profile = reduced_homology(2, 0)
         assert all(b == 0 for b in profile.reduced_betti)
 
-    @pytest.mark.parametrize(
-        "n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
-    )
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_genus_zero_factorial_in_top_degree(self, n):
         profile = reduced_homology(0, n, max_generators=None)
         nonzero = {p: b for p, b in profile.betti_map().items() if b}
@@ -382,16 +395,11 @@ class TestPublishedRanks:
         assert nonzero == {6: factorial(6) // 2} == {6: 360}
         assert profile.euler_reduced == 360
 
-    # as S_n-representations H~_(n-4) of the genus-0 link is
-    # sgn (x) (Ind Lie_(n-1) - Lie_n), the induction from the stabilizer of a
-    # point (Robinson and Whitehouse, "The tree representation of
-    # Sigma_(n+1)", JPAA 1996); it is the only nonzero group
+    # H~_(n-4) is the only nonzero group of the genus-0 link
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_genus_zero_character(self, n):
         for lengths, sigma in cycle_type_representatives(n):
-            fixed = lengths.count(1)  # lengths[:-1] drops one fixed point
-            induced = fixed * lie_character(n - 1, lengths[:-1]) if fixed else 0
-            character = perm_sign(sigma) * (induced - lie_character(n, lengths))
+            character = genus_zero_character(n, lengths, sigma)
             assert basis_lefschetz(0, n, sigma) == (-1) ** (n - 4) * character
 
     # H~_(n-1) of the genus-1 link has a basis of the n-gons, one per cyclic
@@ -448,6 +456,119 @@ class TestRelativeRoute:
         assert chain.rank_of_basis(3) == chain_of(1, 4).rank_of_basis(3) - 1
         with pytest.raises(InternalConsistencyError, match="Euler characteristic"):
             homology_of_chain(chain)
+
+
+class TestTreeRoute:
+    """reduced_homology(0, n) builds its chain complex from splits."""
+
+    @pytest.mark.parametrize(
+        "n", [3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
+    )
+    def test_profile_matches_labelled_route(self, n):
+        labelled = homology_of_chain(build_chain_complex(build_poset(0, n)))
+        # chain ranks, Betti numbers and Euler characteristic; (0, 3) has
+        # an empty link, so its chain ranks are (1,)
+        assert reduced_homology(0, n, max_generators=None) == labelled
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_clique_counts_equal_closed_form_and_enumeration(self, n):
+        cliques = tuple(map(len, homology._split_cliques(n)))
+        assert cliques == homology._tree_counts(n)[1:] == enumerate_types(0, n).f_vector[1:]
+
+    def test_route_reads_no_labelling(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("genus 0 must not enumerate or label")
+
+        for module in (enumeration, complexes, graphs, homology):
+            for name in ("enumerate_types", "_canonical_raw", "_edge_group_raw"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        assert reduced_homology(0, 7).betti_map()[3] == 120
+
+    def test_default_cap_refuses_before_listing_a_split(self, monkeypatch):
+        def refused(n):
+            raise AssertionError("the cap must refuse before listing splits")
+
+        monkeypatch.setattr(homology, "_split_cliques", refused)
+        with pytest.raises(ResourceBoundExceeded) as err:
+            reduced_homology(0, 8)
+        assert err.value.chain_ranks == (119, 1918, 9450, 17325, 10395)
+        assert str(err.value) == (
+            "(g, n) = (0, 8) needs 39207 generators, over the cap of 20000; "
+            "chain ranks by degree: [119, 1918, 9450, 17325, 10395]"
+        )
+
+    def test_clique_counts_are_checked_against_the_closed_form(self, monkeypatch):
+        listed = homology._split_cliques
+
+        def one_short(n):
+            cells = listed(n)
+            return (cells[0][1:], *cells[1:])
+
+        monkeypatch.setattr(homology, "_split_cliques", one_short)
+        with pytest.raises(InternalConsistencyError, match="compatible splits"):
+            reduced_homology(0, 6)
+
+    def test_square_zero_audit_runs_once(self, monkeypatch):
+        calls = []
+        audit = homology._verify_square_zero
+
+        def counting(chain):
+            calls.append(chain.n)
+            audit(chain)
+
+        monkeypatch.setattr(homology, "_verify_square_zero", counting)
+        reduced_homology(0, 6)
+        assert calls == [6]
+
+    def test_square_zero_audit_catches_one_flipped_sign(self, monkeypatch):
+        signed = homology._simplicial_boundaries
+
+        def one_flipped(cells):
+            boundaries = list(signed(cells))
+            (row, coefficient), *rest = boundaries[2][0]
+            boundaries[2] = (((row, -coefficient), *rest), *boundaries[2][1:])
+            return tuple(boundaries)
+
+        monkeypatch.setattr(homology, "_simplicial_boundaries", one_flipped)
+        with pytest.raises(InternalConsistencyError, match="boundary of boundary"):
+            reduced_homology(0, 6)
+
+    # sigma acts on a clique by moving its splits; the sign of sorting the
+    # moved indices is the simplicial orientation the boundary uses
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_split_orientation_carries_the_genus_zero_character(self, n):
+        chain = homology._tree_chain_complex(n, None)
+        splits = homology._splits(n)
+        for lengths, sigma in cycle_type_representatives(n):
+            action = split_action(splits, chain.generators_by_degree, sigma)
+            # the action commutes with the boundary; it fixes the cone point
+            for p, boundary in enumerate(chain.boundaries):
+                below = action[p - 1] if p else ((0, 1),)
+                for (row, sign), col in zip(action[p], boundary):
+                    moved = {}
+                    for r, c in col:
+                        image, s = below[r]
+                        moved[image] = moved.get(image, 0) + s * c
+                    assert moved == {r: sign * c for r, c in boundary[row]}
+            lefschetz = split_lefschetz_number(splits, chain.generators_by_degree, sigma)
+            character = genus_zero_character(n, lengths, sigma)
+            assert lefschetz == (-1) ** (n - 4) * character
+
+    def test_cli_refuses_forty_markings_at_once(self):
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "tropmoduli.cli", "homology",
+             "--genus", "0", "--markings", "40"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert time.perf_counter() - start < 1
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: (g, n) = (0, 40) needs ")
+        assert result.stderr.count("\n") == 1
 
 
 class TestEuler:
