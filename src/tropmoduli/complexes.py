@@ -18,12 +18,19 @@ only the surviving cells itself.  The cones build graph objects for callers
 that want them.  The poset is unsigned: incidence signs orient the
 chain complex, so they live in the homology module.  Purity is checked by
 the enumeration sweep, so every catalog this module reads is already pure.
+
+An OrbitCatalog holds the S_n-orbits of the types instead, types with
+unlabelled markings.  It counts the surviving cells of each orbit from the
+orbit's automorphisms, and labels them only when they are read; homology
+reads it for g >= 1, where the basis is a small share of the cells.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial, prod
 
 from .enumeration import TypeCatalog, enumerate_types, max_edges
 from .errors import InternalConsistencyError
@@ -32,7 +39,9 @@ from .graphs import (
     WeightedMarkedGraph,
     _canonical_raw,
     _contract_raw,
+    _edge_group,
     _edge_group_raw,
+    _vertex_automorphisms,
 )
 
 
@@ -160,6 +169,111 @@ def complex_dimension(g: int, n: int) -> int:
     """
     enumerate_types(g, n)
     return max_edges(g, n) - 1
+
+
+def _orbit(key, n: int) -> tuple[tuple, int, bool]:
+    """The unlabelled triple (weights, edges, counts) of an orbit key of
+    enumerate_orbits, where vertex v carries counts[v] markings; the number
+    of labelled types in the orbit; and whether they are odd.
+
+    The vertex automorphisms of the key act on the assignments of the
+    markings to the vertices through the permutations they induce on the
+    marked vertices, and those act freely.  With a of them, the orbit holds
+    n! / (a * prod counts[v]!) labelled types.  A labelled type's
+    automorphisms are those that fix every marked vertex, and they decide
+    its parity after the repeated-edge test."""
+    encoded, edges, _ = key
+    weights = tuple(x // (n + 1) for x in encoded)
+    counts = tuple(x % (n + 1) for x in encoded)
+    marked = [v for v, c in enumerate(counts) if c]
+    sigmas = _vertex_automorphisms(encoded, edges, ())
+    actions = {tuple(sigma[v] for v in marked) for sigma in sigmas}
+    size = factorial(n) // (len(actions) * prod(map(factorial, counts)))
+    odd = _repeated_edge(edges) or _edge_group(
+        edges, [sigma for sigma in sigmas if all(sigma[v] == v for v in marked)]
+    ).has_odd_element
+    return (weights, edges, counts), size, odd
+
+
+def _label(orbits) -> tuple[tuple, ...]:
+    """The canonical triples of the labelled types in the orbits, sorted by
+    encoding as in the catalog.  Each orbit is an unlabelled triple with its
+    size from _orbit; it labels into every distinct canonical form of its
+    assignments of the markings, and their number must be that size."""
+    cells = []
+    for (weights, edges, counts), size in orbits:
+        labelled = {
+            _canonical_raw(weights, edges, markings)[0]
+            for markings in _assignments(counts)
+        }
+        if len(labelled) != size:
+            raise InternalConsistencyError(
+                f"orbit {(weights, edges, counts)} labels into {len(labelled)} "
+                f"types, but its automorphisms give {size}"
+            )
+        cells += labelled
+    return tuple(sorted(cells, key=repr))
+
+
+def _assignments(counts) -> list[tuple[int, ...]]:
+    """Every markings tuple that puts counts[v] markings on vertex v."""
+    tuples = [()]
+    for _ in range(sum(counts)):
+        tuples = [t + (v,) for t in tuples for v, c in enumerate(counts) if t.count(v) < c]
+    return tuples
+
+
+class OrbitCells(Sequence):
+    """The labelled cells of some S_n-orbits of one dimension, as canonical
+    triples in catalog order.
+
+    orbits holds (unlabelled triple, size) pairs from _orbit.  The length is
+    the sum of the sizes, so it is read without labelling; the cells are
+    labelled on first read.  where(test) labels only the orbits whose
+    unlabelled triple passes test, a test that reads no markings.
+    """
+
+    def __init__(self, orbits: tuple[tuple[tuple, int], ...]):
+        self.orbits = orbits
+        self._len = sum(size for _, size in orbits)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self._cells[i]
+
+    @cached_property
+    def _cells(self) -> tuple[tuple, ...]:
+        return _label(self.orbits)
+
+    def where(self, test) -> tuple[tuple, ...]:
+        return _label(tuple(orbit for orbit in self.orbits if test(*orbit[0])))
+
+
+@dataclass(frozen=True)
+class OrbitCatalog:
+    """The S_n-orbits of the stable (g, n) types: keys holds the canonical
+    orbit triples of enumeration.enumerate_orbits in catalog order.  The
+    surviving cells are counted per orbit and labelled only when read."""
+
+    g: int
+    n: int
+    keys: tuple[tuple, ...]
+
+    @cached_property
+    def generators(self) -> tuple[OrbitCells, ...]:
+        """The surviving cells by dimension, like FacePoset.generators: one
+        OrbitCells per dimension, over the orbits without an odd edge
+        automorphism."""
+        by_dimension: list[list] = [[] for _ in range(max_edges(self.g, self.n))]
+        for key in self.keys[1:]:
+            if _repeated_edge(key[1]):
+                continue
+            triple, size, odd = _orbit(key, self.n)
+            if not odd:
+                by_dimension[len(key[1]) - 1].append((triple, size))
+        return tuple(OrbitCells(tuple(orbits)) for orbits in by_dimension)
 
 
 def hasse_dot(poset: FacePoset) -> str:

@@ -46,12 +46,16 @@ weight or four or more half-edges and markings.
 
 The sweep and the catalog keep bare (weights, edges, markings) tuples;
 graph objects are built only when the catalog's strata are read.
+
+enumerate_orbits runs the same sweep on the S_n-orbits of the types, types
+whose markings are unlabelled and counted per vertex in its weight; every
+argument above holds for any start color that isomorphisms preserve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import InternalConsistencyError, UnstableTypeError
 from .graphs import WeightedMarkedGraph, _canonical_raw, _start_colors
@@ -113,12 +117,22 @@ def _pair(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def _expand_to_keys(key):
+def _expand_to_keys(key, unit=1):
     """Whether a type has any stable one-edge expansion, and the canonical
     keys of its accepted expansions.  Only accepted candidates are built,
-    each distinct one once, and their start colors go to the labeling."""
+    each distinct one once, and their start colors go to the labeling.
+
+    With unit n + 1 the key is an orbit of enumerate_orbits: its markings
+    are (), and vertex weight x stands for weight x // unit with x % unit
+    markings.  Its colors carry c markings as the bitmask of c low bits,
+    which orders them as x does, so the acceptance test and the labeling
+    read them as they read a type's.  A split then moves k of the c
+    markings, for k = 0 .. c, where a type moves each subset of its marking
+    bits; that is the only difference."""
     weights, edges, markings = key
     colors = _start_colors(weights, edges, markings)
+    if unit > 1:
+        colors = [(x // unit, (1 << x % unit) - 1, val, lp) for x, _, val, lp in colors]
     if not _expandable(colors):
         return False, []
     nv = len(weights)
@@ -146,7 +160,7 @@ def _expand_to_keys(key):
             c = (w - 1, marks, val + 2, nloops + 1)
             if away <= (c, c) and all(far <= c for _, far in near[v]):
                 child = (
-                    weights[:v] + (w - 1,) + weights[v + 1:],
+                    weights[:v] + (weights[v] - unit,) + weights[v + 1:],
                     edges + ((v, v),),
                     markings,
                 )
@@ -158,11 +172,19 @@ def _expand_to_keys(key):
         lower = (w // 2, marks if w % 2 else marks ^ top, val + 1, nloops)
         if (lower, upper) < away or any(far > upper for _, far in near[v]):
             continue
-        masks = [0]  # masks[bits]: the marking bitmask that bits moves
-        for k, mv in enumerate(markings):
-            if mv == v:
-                masks += [mask | 1 << k for mask in masks]
         m = marks.bit_count()
+        # (markings moved, color bits kept, color bits moved, markings they
+        # add to v's weight in an orbit); entry i mirrors entry len - 1 - i
+        if unit > 1:
+            splits = [(k, (1 << m - k) - 1, (1 << k) - 1, k) for k in range(m + 1)]
+        else:
+            splits = [(0, marks, 0, 0)]
+            for k, mv in enumerate(markings):
+                if mv == v:
+                    splits += [
+                        (moved_m + 1, kept_bits ^ 1 << k, bits | 1 << k, 0)
+                        for moved_m, kept_bits, bits, _ in splits
+                    ]
         h = len(slots[v])
         # with h >= 1, a split or its mirror keeps the last slot at v, not both
         for slot_bits in range(1 << (h - 1)) if h else (0,):
@@ -181,18 +203,14 @@ def _expand_to_keys(key):
                 loops_kept += ends == 0
                 loops_moved += ends == 3
             new_edges = None
-            for mark_bits, moved_marks in enumerate(masks):
-                moved_m = mark_bits.bit_count()
+            for i, (moved_m, kept_marks, moved_marks, added) in enumerate(splits):
                 # the weights that leave both halves stable
                 lo = 1 if moved + moved_m <= 1 else 0
                 hi = w - 1 if kept + m - moved_m <= 1 else w
                 for w_new in range(lo, hi + 1):
-                    if not h and (mark_bits, w_new) > (
-                        len(masks) - 1 - mark_bits,
-                        w - w_new,
-                    ):
+                    if not h and (i, w_new) > (len(splits) - 1 - i, w - w_new):
                         continue  # the edgeless type: skip the mirror here
-                    cv = (w - w_new, marks ^ moved_marks, kept + 1, loops_kept)
+                    cv = (w - w_new, kept_marks, kept + 1, loops_kept)
                     cn = (w_new, moved_marks, moved + 1, loops_moved)
                     if (
                         kept_far > cn
@@ -209,8 +227,9 @@ def _expand_to_keys(key):
                                 a, b = new_edges[idx]
                                 new_edges[idx] = (b, nv) if a == v else (a, nv)
                         new_edges = tuple(new_edges) + ((v, nv),)
+                    x_new = w_new * unit + added
                     child = (
-                        weights[:v] + (w - w_new,) + weights[v + 1:] + (w_new,),
+                        weights[:v] + (weights[v] - x_new,) + weights[v + 1:] + (x_new,),
                         new_edges,
                         tuple(
                             nv if moved_marks >> k & 1 else mv
@@ -223,24 +242,20 @@ def _expand_to_keys(key):
     return True, [_canonical_raw(*c, start=s)[0] for c, s in accepted.items()]
 
 
-def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
-    """Complete, duplicate-free and pure catalog of stable (g, n) types.
+def _sweep(g: int, n: int, start_key, unit: int = 1, threads: int = 1) -> list[list]:
+    """The canonical keys reached from start_key, level by level, each level
+    sorted by encoding; see enumerate_types and enumerate_orbits.
 
-    Each level canonicalizes only the expansions whose new edge has the
-    largest edge invariant (see the module docstring for why no type is
-    lost) and keeps the distinct keys, sorted by their encoding.
-
-    Raises InternalConsistencyError for the first type, in catalog order,
-    that has fewer than 3g - 3 + n edges and no expansion.  This reads the
+    Raises InternalConsistencyError for the first key, in that order, that
+    has fewer than 3g - 3 + n edges and no expansion.  This reads the
     closed-form test, not the accepted expansions, which may be none.
     """
-    require_stable_range(g, n)
     top = max_edges(g, n)
-    start_key = ((g,), (), (0,) * n)
+    expand = partial(_expand_to_keys, unit=unit)
     level_keys = [[start_key]]
     for edges in range(top):
         # threads reaches perfbench/tracer.py, whose self-test counts pooled calls
-        batches = parallel_map(_expand_to_keys, level_keys[-1], threads=threads)
+        batches = parallel_map(expand, level_keys[-1], threads=threads)
         found = set()
         for key, (expandable, batch) in zip(level_keys[-1], batches):
             if not expandable:
@@ -251,9 +266,38 @@ def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
             found.update(batch)
         # catalog order within a level follows the certificate encoding
         level_keys.append(sorted(found, key=repr))
+    return level_keys
+
+
+def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
+    """Complete, duplicate-free and pure catalog of stable (g, n) types.
+
+    Each level canonicalizes only the expansions whose new edge has the
+    largest edge invariant (see the module docstring for why no type is
+    lost) and keeps the distinct keys, sorted by their encoding.  A type
+    below 3g - 3 + n edges without an expansion raises
+    InternalConsistencyError (see _sweep).
+    """
+    require_stable_range(g, n)
+    level_keys = _sweep(g, n, ((g,), (), (0,) * n), threads=threads)
     keys = tuple(key for level in level_keys for key in level)
     f_vector = tuple(len(level) for level in level_keys)
     return TypeCatalog(g=g, n=n, keys=keys, f_vector=f_vector)
+
+
+def enumerate_orbits(g: int, n: int) -> tuple[tuple, ...]:
+    """The S_n-orbits of the stable (g, n) types, in catalog order.
+
+    An orbit is a type with unlabelled markings: the canonical triple
+    (weights, edges, ()) in which vertex weight w * (n + 1) + c stands for
+    weight w and c markings.  Isomorphisms preserve that color, so the sweep
+    of enumerate_types, its acceptance test included, runs on these triples
+    unchanged; only a split moves a number of markings instead of a subset.
+    For n <= 1 each orbit is one type.
+    """
+    require_stable_range(g, n)
+    level_keys = _sweep(g, n, ((g * (n + 1) + n,), (), ()), unit=n + 1)
+    return tuple(key for level in level_keys for key in level)
 
 
 def count_types(g: int, n: int) -> tuple[int, ...]:

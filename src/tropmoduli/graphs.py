@@ -452,34 +452,47 @@ def _canonical_raw(weights, edges, markings, start=None):
     return key, tuple(leaves[0])
 
 
+def _vertex_automorphisms(weights, edges, markings) -> list[list[int]]:
+    """Every vertex automorphism, as its list of vertex images, each once:
+    the relabelings between the minimal leaves of the canonical labeling
+    search.  The first is the identity."""
+    _, leaves = _minimal_leaves(weights, edges, markings)
+    back = _positions(leaves[0])
+    return [[back[p] for p in leaf] for leaf in leaves]
+
+
 def _edge_group_raw(weights, edges, markings) -> EdgeAutomorphismGroup:
     """Image of the automorphism group in the symmetric group on edges.
 
-    Automorphisms preserve weights and fix every marking pointwise.  The
-    group is counted, not listed.  Its vertex automorphisms are the
-    relabelings between the minimal leaves of the canonical labeling search;
-    each permutes the parallel-edge classes (the edges with one endpoint
-    pair), and every permutation within the classes is an automorphism too.
-    So the order is the number of distinct induced class permutations times
-    the product of k! over class sizes k, and an odd element exists iff some
-    class has two edges (they swap to a transposition) or some induced class
-    permutation is odd.  Loop flips induce the identity.
+    Automorphisms preserve weights and fix every marking pointwise; see
+    _edge_group for how the group is counted from its vertex automorphisms.
+    """
+    return _edge_group(edges, _vertex_automorphisms(weights, edges, markings))
+
+
+def _edge_group(edges, sigmas) -> EdgeAutomorphismGroup:
+    """Order and parity of the edge permutations induced by a group of
+    vertex automorphisms sigmas, each once, identity included.
+
+    The group is counted, not listed.  Each sigma permutes the
+    parallel-edge classes (the edges with one endpoint pair), and every
+    permutation within the classes is an automorphism too.  So the order is
+    the number of distinct induced class permutations times the product of
+    k! over class sizes k, and an odd element exists iff some class has two
+    edges (they swap to a transposition) or some induced class permutation
+    is odd.  Loop flips induce the identity.
     """
     sizes: dict[Edge, int] = {}
     for e in edges:
         sizes[e] = sizes.get(e, 0) + 1
     index = {pair: i for i, pair in enumerate(sizes)}
-    _, leaves = _minimal_leaves(weights, edges, markings)
-    back = _positions(leaves[0])
-    images = {tuple(range(len(sizes)))}  # the first leaf gives the identity
-    for leaf in leaves[1:]:
-        sigma = [back[p] for p in leaf]
-        images.add(
-            tuple(
-                index[(a, b) if a <= b else (b, a)]
-                for a, b in ((sigma[u], sigma[v]) for u, v in sizes)
-            )
+    images = {
+        tuple(
+            index[(a, b) if a <= b else (b, a)]
+            for a, b in ((sigma[u], sigma[v]) for u, v in sizes)
         )
+        for sigma in sigmas
+    }
     return EdgeAutomorphismGroup(
         order=len(images) * math.prod(map(math.factorial, sizes.values())),
         has_odd_element=any(k > 1 for k in sizes.values())

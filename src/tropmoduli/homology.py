@@ -16,9 +16,9 @@ Only the matrix basis is contracted, one degree at a time: a contraction
 with a repeated edge lands on a killed cell and is dropped before it is
 canonicalized, and each remaining distinct contraction of a degree is
 canonicalized once, which gives its target and its sign.  The parity of
-every cell is read from its canonical triple, so no graph, cone or face
-poset cover is built, and the generator cap refuses a job before any
-contraction.
+every cell is read from its canonical triple, or from its orbit's (below),
+so no graph, cone or face poset cover is built, and the generator cap
+refuses a job before any contraction.
 
 The matrices are those of the augmented chains of the link modulo those of
 link^lw, the cells with a loop or a vertex of positive weight, the cone point
@@ -53,6 +53,23 @@ that of the basis ranks, and the two must agree: unless link^lw is empty
 they come from different complexes, so every run checks the contractibility
 step.  A negative Betti number is refused.
 
+For g >= 1 the chain ranks come from S_n-orbits.  S_n permutes the
+markings, and with them the cells; parity is constant on each orbit, and the
+basis test reads no marking.  So reduced_homology enumerates the types with
+unlabelled markings (enumerate_orbits: the same sweep, a vertex's color
+carrying its number of markings) and counts each surviving orbit as
+n! / (a * prod c_v!) labelled cells, where vertex v carries c_v markings and
+a is the number of permutations of the marked vertices that the orbit's
+automorphisms induce.  The generator cap reads those counts, and only the
+orbits in the basis are labelled: each distinct assignment of the markings,
+canonicalized.  An orbit that labels into any other number of cells than
+its count is an internal consistency error, which audits a.  The boundary
+columns and every audit are then those of the labelled catalog, which stays
+the oracle of the tests.  Chan, Galatius and Payne (arXiv 1903.07187) read
+the top-weight cohomology of M_{g,n} off this S_n-equivariant link, and
+Chan, Faber, Galatius and Payne (arXiv 1904.06367) compute its equivariant
+Euler characteristic from the same orbit data.
+
 Genus 0 takes a route of its own, from splits.  A stable genus-0 type is a
 tree whose leaves are the markings, and each of its edges is a split of the
 markings into two sides of two or more.  A set of splits comes from a tree
@@ -77,19 +94,21 @@ arithmetic appears anywhere in this module.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .complexes import FacePoset, _repeated_edge, link_cells
-from .enumeration import max_edges, require_stable_range
+from .complexes import FacePoset, OrbitCatalog, OrbitCells, _repeated_edge
+from .enumeration import enumerate_orbits, max_edges, require_stable_range
 from .errors import InternalConsistencyError, ResourceBoundExceeded
 from .graphs import _canonical_raw, _contract_raw, _edge_relabeling, perm_sign
 
 #: Generator cap used when none is given.  It counts surviving cells (the
-#: chain ranks, what enumeration and parity pay for), not matrix columns:
-#: (2, 4) has 2915 and 180.  (1, 6) needs 14307, under the cap; (2, 5) needs
-#: 38365 and beyond, so those long-running jobs must be opted into explicitly.
+#: chain ranks), not matrix columns: (2, 4) has 2915 and 180.  (1, 6) needs
+#: 14307, under the cap; (2, 5) needs 38365, so it and every larger job must
+#: be opted into explicitly, although the orbit route now runs (2, 5) in
+#: about a second.  The refusals the tests pin depend on this value.
 DEFAULT_MAX_GENERATORS = 20_000
 
 Column = tuple[tuple[int, int], ...]  # sorted (row, coefficient) pairs
@@ -100,20 +119,23 @@ class ChainComplex:
     """Integer boundary matrices for the link's rational chain complex.
 
     generators_by_degree[p] holds the canonical triples of the surviving
-    cells of dimension p, in catalog order; they give the chain ranks.
+    cells of dimension p, in catalog order; their number is the chain rank.
     basis_by_degree[p] holds the triples that index the matrices: the
     generators outside link^lw (see the module docstring).  boundaries[p]
     holds one sparse column per basis cell of degree p, mapping into the
     basis of degree p - 1; the basis of degree -1 is the cone point when it
     passes the same test, and is empty otherwise.
 
-    On the genus-0 route of reduced_homology both lists hold the cells as
-    sorted tuples of split indices instead, every cell in the basis.
+    On the orbit route of reduced_homology (g >= 1) each generators_by_degree
+    entry is an OrbitCells: its length is counted from the orbits, and it
+    labels its cells only when they are read.  On the genus-0 route both
+    lists hold the cells as sorted tuples of split indices instead, every
+    cell in the basis.
     """
 
     g: int
     n: int
-    generators_by_degree: tuple[tuple[tuple, ...], ...]
+    generators_by_degree: tuple[Sequence[tuple], ...]
     basis_by_degree: tuple[tuple[tuple, ...], ...]
     boundaries: tuple[tuple[Column, ...], ...]
 
@@ -170,15 +192,13 @@ class HomologyProfile:
         return {k: self.betti(2 * d - k - 1) for k in range(d, 2 * d + 1)}
 
 
-def build_chain_complex(link: FacePoset) -> ChainComplex:
+def build_chain_complex(link: FacePoset | OrbitCatalog) -> ChainComplex:
     """Assemble boundary matrices over the basis, the cells outside link^lw
     in every degree from the cone point's up, and verify d(d(x)) = 0 in
     every degree."""
     generators = link.generators
-    basis = tuple(
-        tuple(key for key in keys if _simple_weight_zero(*key))
-        for keys in ((link.keys[0],), *generators)
-    )
+    cone = ((link.g,), (), (0,) * link.n)
+    basis = tuple(_basis(cells) for cells in ((cone,), *generators))
     complex_ = ChainComplex(
         g=link.g,
         n=link.n,
@@ -198,6 +218,16 @@ def _simple_weight_zero(weights, edges, markings) -> bool:
     It has no repeated edge, since parity has already killed every type with
     one.  For g = 0 every type passes, the cone point included."""
     return not any(weights) and all(u != v for u, v in edges)
+
+
+def _basis(cells) -> tuple[tuple, ...]:
+    """The cells that pass _simple_weight_zero, in order.  Orbit cells are
+    tested by their orbits' unlabelled triples, which have the weights and
+    edges of their labelled cells, and only the orbits that pass are
+    labelled."""
+    if isinstance(cells, OrbitCells):
+        return cells.where(_simple_weight_zero)
+    return tuple(key for key in cells if _simple_weight_zero(*key))
 
 
 def _boundary_columns(keys, rows: dict) -> tuple[Column, ...]:
@@ -361,13 +391,13 @@ def reduced_homology(
     """Exact reduced rational Betti numbers of the link of (g, n)."""
     if g == 0:
         return homology_of_chain(_tree_chain_complex(n, max_generators))
-    link = link_cells(g, n)
+    link = OrbitCatalog(g, n, enumerate_orbits(g, n))
     chain = chain_complex_within_bounds(link, max_generators=max_generators)
     return homology_of_chain(chain)
 
 
 def chain_complex_within_bounds(
-    link: FacePoset,
+    link: FacePoset | OrbitCatalog,
     max_generators: int | None = DEFAULT_MAX_GENERATORS,
 ) -> ChainComplex:
     """Build the chain complex unless the generator cap would be exceeded;
@@ -381,15 +411,39 @@ def _refuse_over_cap(
     g: int, n: int, sizes: tuple[int, ...], max_generators: int | None
 ) -> None:
     """Raise ResourceBoundExceeded when the chain ranks sizes, by degree
-    from 0, sum to more than max_generators (None is no cap)."""
+    from 0, sum to more than max_generators (None is no cap).
+
+    The message lists every rank unless a bound on their digits, read from
+    their bits, says the list would pass 800 characters; then it gives only
+    the number of digits of the total, so it stays one short line even where
+    the ranks have too many digits to convert to text.  The exception keeps
+    the exact ranks either way."""
     total = sum(sizes)
-    if max_generators is not None and total > max_generators:
-        raise ResourceBoundExceeded(
-            f"(g, n) = ({g}, {n}) needs {total} generators, "
-            f"over the cap of {max_generators}; chain ranks by degree: "
-            f"{list(sizes)}",
-            chain_ranks=sizes,
+    if max_generators is None or total <= max_generators:
+        return
+    needs = f"(g, n) = ({g}, {n}) needs {{}}, over the cap of {max_generators}; "
+    if sum(_digits_at_most(x) + 2 for x in (total, *sizes)) <= 800:
+        message = needs.format(f"{total} generators") + (
+            f"chain ranks by degree: {list(sizes)}"
         )
+    else:
+        message = needs.format(f"a {_digits(total)}-digit number of generators") + (
+            f"{len(sizes)} chain ranks by degree, too long to list"
+        )
+    raise ResourceBoundExceeded(message, chain_ranks=sizes)
+
+
+def _digits_at_most(x: int) -> int:
+    """An upper bound on the decimal digits of x >= 0: log10(2) < 0.30103."""
+    return x.bit_length() * 30103 // 100000 + 1
+
+
+def _digits(x: int) -> int:
+    """The decimal digits of x > 0, counted without converting x to text."""
+    d = _digits_at_most(x)
+    while d > 1 and 10 ** (d - 1) > x:
+        d -= 1
+    return d
 
 
 def _tree_counts(n: int) -> tuple[int, ...]:

@@ -571,6 +571,121 @@ class TestTreeRoute:
         assert result.stderr.count("\n") == 1
 
 
+    def test_cli_refuses_fifteen_hundred_markings_in_one_line(self):
+        # the total has more than 4,300 digits, Python's default limit for
+        # converting an int to text
+        result = subprocess.run(
+            [sys.executable, "-m", "tropmoduli.cli", "homology",
+             "--genus", "0", "--markings", "1500"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: (g, n) = (0, 1500) needs a 4726-digit number of generators, "
+            "over the cap of 20000; 1497 chain ranks by degree, too long to list\n"
+        )
+
+    def test_refusal_keeps_the_exact_ranks(self):
+        with pytest.raises(ResourceBoundExceeded) as err:
+            reduced_homology(0, 40)
+        ranks = homology._tree_counts(40)[1:]
+        assert err.value.chain_ranks == ranks
+        assert str(err.value) == (
+            f"(g, n) = (0, 40) needs a {len(str(sum(ranks)))}-digit number of "
+            "generators, over the cap of 20000; 37 chain ranks by degree, too "
+            "long to list"
+        )
+
+    def test_digit_count_without_text(self):
+        rng = random.Random(7)
+        values = [1, 9, 10, 99, 100, 2**64, 10**400 - 1, 10**400, 10**4000]
+        values += [rng.randrange(1, 10 ** rng.randrange(1, 4000)) for _ in range(200)]
+        for x in values:
+            assert homology._digits(x) == len(str(x))
+            assert homology._digits_at_most(x) >= len(str(x))
+
+
+class TestOrbitRoute:
+    """reduced_homology(g, n) for g >= 1 counts its chain ranks on S_n-orbits
+    and labels only the basis."""
+
+    @pytest.mark.parametrize(
+        "g,n",
+        [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 0), (2, 1), (2, 2), (2, 3),
+         (3, 0), (3, 1), (4, 0)],
+    )
+    def test_chain_complex_matches_labelled_route(self, g, n, monkeypatch):
+        built = []
+        build = homology.build_chain_complex
+
+        def kept(link):
+            built.append(build(link))
+            return built[-1]
+
+        monkeypatch.setattr(homology, "build_chain_complex", kept)
+        profile = reduced_homology(g, n)
+        labelled = chain_of(g, n)
+        assert profile == homology_of_chain(labelled)
+        (chain,) = built
+        assert chain.basis_by_degree == labelled.basis_by_degree
+        assert chain.boundaries == labelled.boundaries
+        # reading the generators labels every surviving orbit
+        assert tuple(map(tuple, chain.generators_by_degree)) == labelled.generators_by_degree
+
+    @pytest.mark.parametrize(
+        "g,n",
+        [(g, n) for g in range(3) for n in range(8)
+         if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 4],
+    )
+    def test_orbit_sizes_sum_to_the_f_vector(self, g, n):
+        catalog = enumerate_types(g, n)
+        levels = [[] for _ in catalog.f_vector]
+        for key in enumeration.enumerate_orbits(g, n):
+            triple, size, _ = complexes._orbit(key, n)
+            levels[len(key[1])].append((triple, size))
+        assert tuple(sum(size for _, size in level) for level in levels) == catalog.f_vector
+        # labelling every orbit gives the catalog, level by level
+        labelled = tuple(key for level in levels for key in complexes._label(level))
+        assert labelled == catalog.keys
+
+    def test_labelling_audits_the_orbit_size(self, monkeypatch):
+        # without the automorphisms that move a marked vertex, every orbit
+        # of a genus-1 cycle with a reflection claims twice its cells
+        listed = complexes._vertex_automorphisms
+        monkeypatch.setattr(complexes, "_vertex_automorphisms", lambda *key: listed(*key)[:1])
+        with pytest.raises(InternalConsistencyError, match="labels into"):
+            reduced_homology(1, 4)
+
+    def test_route_reads_no_labelled_catalog(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the orbit route must not read the labelled catalog")
+
+        for module in (enumeration, complexes, homology):
+            for name in ("enumerate_types", "build_poset", "link_cells"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        betti = reduced_homology(2, 4).betti_map()
+        assert {p: b for p, b in betti.items() if b} == {5: 1, 6: 3}
+
+    def test_default_cap_refuses_before_labelling_or_contracting(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the cap must refuse before labelling or contracting")
+
+        monkeypatch.setattr(complexes, "_label", refused)
+        monkeypatch.setattr(homology, "_contract_raw", refused)
+        with pytest.raises(ResourceBoundExceeded) as err:
+            reduced_homology(2, 5)
+        ranks = (43, 424, 1949, 5383, 9661, 11145, 7525, 2235)
+        assert err.value.chain_ranks == ranks
+        assert str(err.value) == (
+            "(g, n) = (2, 5) needs 38365 generators, over the cap of 20000; "
+            f"chain ranks by degree: {list(ranks)}"
+        )
+
+
 class TestEuler:
     def test_examples(self):
         assert euler_characteristic(1, 3) == 1

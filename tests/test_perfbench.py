@@ -3,12 +3,18 @@
 perfbench/tracer.py wraps functions of the program by name, for example
 parallel.parallel_map, enumeration.has_expansion and
 WeightedMarkedGraph.contract.  A change to src/ that drops or renames one of
-them fails here, not first in a benchmark run.
+them fails here, not first in a benchmark run.  Its self-test also traces
+`homology --genus 1 --markings 3` and reads the chain ranks off the result
+of homology.build_chain_complex, as the summed lengths of
+generators_by_degree; the orbit route keeps that contract without labelling
+the cells it only counts (test_orbit_route_keeps_the_tracer_contract).
 """
 
 import subprocess
 import sys
 from pathlib import Path
+
+from tropmoduli import complexes, homology, reduced_homology
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,3 +28,25 @@ def test_perfbench_selftest_passes():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_orbit_route_keeps_the_tracer_contract(monkeypatch):
+    chains, labelled = [], []
+    build, label = homology.build_chain_complex, complexes._label
+
+    def traced_build(link):
+        chains.append(build(link))
+        return chains[-1]
+
+    def recorded_label(orbits):
+        labelled.extend(triple for triple, _ in orbits)
+        return label(orbits)
+
+    monkeypatch.setattr(homology, "build_chain_complex", traced_build)
+    monkeypatch.setattr(complexes, "_label", recorded_label)
+    assert reduced_homology(1, 3).betti(2) == 1
+    (chain,) = chains
+    assert sum(map(len, chain.generators_by_degree)) == 5 + 7 + 4
+    # only the basis is labelled: weight 0, no loop, no repeated edge
+    assert labelled and all(homology._simple_weight_zero(*triple) for triple in labelled)
+    assert sum(map(len, chain.basis_by_degree)) < 16
