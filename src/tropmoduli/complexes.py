@@ -178,21 +178,18 @@ def _orbit(key, n: int) -> tuple[tuple, int, bool]:
 
     The vertex automorphisms of the key act on the assignments of the
     markings to the vertices through the permutations they induce on the
-    marked vertices, and those act freely.  With a of them, the orbit holds
-    n! / (a * prod counts[v]!) labelled types.  A labelled type's
-    automorphisms are those that fix every marked vertex, and they decide
-    its parity after the repeated-edge test."""
+    marked vertices, and those act freely.  There are a of them, the
+    automorphisms over the subgroup that fixes every marked vertex, so the
+    orbit holds n! / (a * prod counts[v]!) labelled types.  That subgroup is
+    a labelled type's automorphism group, and decides its parity."""
     encoded, edges, _ = key
-    weights = tuple(x // (n + 1) for x in encoded)
-    counts = tuple(x % (n + 1) for x in encoded)
+    weights = tuple([x // (n + 1) for x in encoded])
+    counts = tuple([x % (n + 1) for x in encoded])
     marked = [v for v, c in enumerate(counts) if c]
     sigmas = _vertex_automorphisms(encoded, edges, ())
-    actions = {tuple(sigma[v] for v in marked) for sigma in sigmas}
-    size = factorial(n) // (len(actions) * prod(map(factorial, counts)))
-    odd = _repeated_edge(edges) or _edge_group(
-        edges, [sigma for sigma in sigmas if all(sigma[v] == v for v in marked)]
-    ).has_odd_element
-    return (weights, edges, counts), size, odd
+    fixing = [sigma for sigma in sigmas if [sigma[v] for v in marked] == marked]
+    size = factorial(n) * len(fixing) // (len(sigmas) * prod(map(factorial, counts)))
+    return (weights, edges, counts), size, _edge_group(edges, fixing).has_odd_element
 
 
 def _label(orbits) -> tuple[tuple, ...]:

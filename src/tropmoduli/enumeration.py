@@ -173,8 +173,9 @@ def _expand_to_keys(key, unit=1):
         if (lower, upper) < away or any(far > upper for _, far in near[v]):
             continue
         m = marks.bit_count()
-        # (markings moved, color bits kept, color bits moved, markings they
-        # add to v's weight in an orbit); entry i mirrors entry len - 1 - i
+        # (markings moved, color bits kept, color bits moved, and what they
+        # add to the new vertex's weight in an orbit); entry i mirrors entry
+        # len - 1 - i
         if unit > 1:
             splits = [(k, (1 << m - k) - 1, (1 << k) - 1, k) for k in range(m + 1)]
         else:

@@ -472,7 +472,7 @@ def _edge_group_raw(weights, edges, markings) -> EdgeAutomorphismGroup:
 
 def _edge_group(edges, sigmas) -> EdgeAutomorphismGroup:
     """Order and parity of the edge permutations induced by a group of
-    vertex automorphisms sigmas, each once, identity included.
+    vertex automorphisms sigmas, each once, the identity first.
 
     The group is counted, not listed.  Each sigma permutes the
     parallel-edge classes (the edges with one endpoint pair), and every
@@ -486,13 +486,14 @@ def _edge_group(edges, sigmas) -> EdgeAutomorphismGroup:
     for e in edges:
         sizes[e] = sizes.get(e, 0) + 1
     index = {pair: i for i, pair in enumerate(sizes)}
-    images = {
-        tuple(
-            index[(a, b) if a <= b else (b, a)]
-            for a, b in ((sigma[u], sigma[v]) for u, v in sizes)
+    images = {tuple(range(len(sizes)))}  # the identity's
+    for sigma in sigmas[1:]:
+        images.add(
+            tuple(
+                index[(a, b) if a <= b else (b, a)]
+                for a, b in ((sigma[u], sigma[v]) for u, v in sizes)
+            )
         )
-        for sigma in sigmas
-    }
     return EdgeAutomorphismGroup(
         order=len(images) * math.prod(map(math.factorial, sizes.values())),
         has_odd_element=any(k > 1 for k in sizes.values())
