@@ -265,7 +265,7 @@ class OrbitCatalog:
         automorphism."""
         by_dimension: list[list] = [[] for _ in range(max_edges(self.g, self.n))]
         for key in self.keys[1:]:
-            if _repeated_edge(key[1]):
+            if _repeated_edge(key[1]):  # odd, with no automorphism search
                 continue
             triple, size, odd = _orbit(key, self.n)
             if not odd:

@@ -421,16 +421,16 @@ def _refuse_over_cap(
     total = sum(sizes)
     if max_generators is None or total <= max_generators:
         return
-    needs = f"(g, n) = ({g}, {n}) needs {{}}, over the cap of {max_generators}; "
     if sum(_digits_at_most(x) + 2 for x in (total, *sizes)) <= 800:
-        message = needs.format(f"{total} generators") + (
-            f"chain ranks by degree: {list(sizes)}"
-        )
+        needs = f"{total} generators"
+        ranks = f"chain ranks by degree: {list(sizes)}"
     else:
-        message = needs.format(f"a {_digits(total)}-digit number of generators") + (
-            f"{len(sizes)} chain ranks by degree, too long to list"
-        )
-    raise ResourceBoundExceeded(message, chain_ranks=sizes)
+        needs = f"a {_digits(total)}-digit number of generators"
+        ranks = f"{len(sizes)} chain ranks by degree, too long to list"
+    raise ResourceBoundExceeded(
+        f"(g, n) = ({g}, {n}) needs {needs}, over the cap of {max_generators}; {ranks}",
+        chain_ranks=sizes,
+    )
 
 
 def _digits_at_most(x: int) -> int:
