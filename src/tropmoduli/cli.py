@@ -25,7 +25,7 @@ import sys
 
 from . import homology as homology_mod
 from .complexes import build_poset, hasse_dot, link_cells
-from .enumeration import enumerate_types
+from .enumeration import count_types, enumerate_types
 from .errors import (
     ExtendedCurveError,
     GraphError,
@@ -328,13 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_enumerate(args) -> None:
+    if args.format == "csv":
+        # the f-vector alone: counted on S_n-orbits, no type is labelled
+        lines = ["edges,count"]
+        lines += [f"{e},{c}" for e, c in enumerate(count_types(args.genus, args.markings))]
+        _write(["\n".join(lines) + "\n"], args.output)
+        return
     catalog = enumerate_types(args.genus, args.markings, threads=args.threads)
     if args.format == "json":
         _write(_enumerate_json(catalog), args.output)
-    elif args.format == "csv":
-        lines = ["edges,count"]
-        lines += [f"{e},{c}" for e, c in enumerate(catalog.f_vector)]
-        _write(["\n".join(lines) + "\n"], args.output)
     else:
         blocks = [t.to_dot(name=f"type{i}") for i, t in enumerate(catalog.strata)]
         _write(blocks, args.output)

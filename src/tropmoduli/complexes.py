@@ -30,9 +30,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, prod
 
-from .enumeration import TypeCatalog, enumerate_types, max_edges
+from .enumeration import TypeCatalog, _orbit_size, enumerate_types, max_edges
 from .errors import InternalConsistencyError
 from .graphs import (
     EdgeAutomorphismGroup,
@@ -41,7 +40,6 @@ from .graphs import (
     _contract_raw,
     _edge_group,
     _edge_group_raw,
-    _vertex_automorphisms,
 )
 
 
@@ -174,22 +172,12 @@ def complex_dimension(g: int, n: int) -> int:
 def _orbit(key, n: int) -> tuple[tuple, int, bool]:
     """The unlabelled triple (weights, edges, counts) of an orbit key of
     enumerate_orbits, where vertex v carries counts[v] markings; the number
-    of labelled types in the orbit; and whether they are odd.
-
-    The vertex automorphisms of the key act on the assignments of the
-    markings to the vertices through the permutations they induce on the
-    marked vertices, and those act freely.  There are a of them, the
-    automorphisms over the subgroup that fixes every marked vertex, so the
-    orbit holds n! / (a * prod counts[v]!) labelled types.  That subgroup is
-    a labelled type's automorphism group, and decides its parity."""
-    encoded, edges, _ = key
-    weights = tuple([x // (n + 1) for x in encoded])
-    counts = tuple([x % (n + 1) for x in encoded])
-    marked = [v for v, c in enumerate(counts) if c]
-    sigmas = _vertex_automorphisms(encoded, edges, ())
-    fixing = [sigma for sigma in sigmas if [sigma[v] for v in marked] == marked]
-    size = factorial(n) * len(fixing) // (len(sigmas) * prod(map(factorial, counts)))
-    return (weights, edges, counts), size, _edge_group(edges, fixing).has_odd_element
+    of labelled types in the orbit, from enumeration._orbit_size; and
+    whether they are odd, read off the automorphisms fixing every marked
+    vertex, a labelled type's automorphism group."""
+    counts, fixing, size = _orbit_size(key, n)
+    weights = tuple([x // (n + 1) for x in key[0]])
+    return (weights, key[1], counts), size, _edge_group(key[1], fixing).has_odd_element
 
 
 def _label(orbits) -> tuple[tuple, ...]:

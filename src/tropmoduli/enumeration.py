@@ -50,15 +50,24 @@ graph objects are built only when the catalog's strata are read.
 enumerate_orbits runs the same sweep on the S_n-orbits of the types, types
 whose markings are unlabelled and counted per vertex in its weight; every
 argument above holds for any start color that isomorphisms preserve.
+count_types, which the CLI's CSV output prints, sums the orbit sizes by edge
+count and never labels a type, so a purity error it raises names an orbit
+key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from math import factorial, prod
 
 from .errors import InternalConsistencyError, UnstableTypeError
-from .graphs import WeightedMarkedGraph, _canonical_raw, _start_colors
+from .graphs import (
+    WeightedMarkedGraph,
+    _canonical_raw,
+    _start_colors,
+    _vertex_automorphisms,
+)
 from .parallel import parallel_map
 
 
@@ -294,13 +303,51 @@ def enumerate_orbits(g: int, n: int) -> tuple[tuple, ...]:
     weight w and c markings.  Isomorphisms preserve that color, so the sweep
     of enumerate_types, its acceptance test included, runs on these triples
     unchanged; only a split moves a number of markings instead of a subset.
-    For n <= 1 each orbit is one type.
+    For n <= 1 each orbit is one type.  count_types and the homology of
+    g >= 1 read these orbits, so a purity error they raise names an orbit
+    key, not a labelled type.
     """
     require_stable_range(g, n)
     level_keys = _sweep(g, n, ((g * (n + 1) + n,), (), ()), unit=n + 1)
     return tuple(key for level in level_keys for key in level)
 
 
+def _orbit_size(key, n: int) -> tuple[tuple[int, ...], list[list[int]], int]:
+    """The marking counts of an orbit key of enumerate_orbits, where vertex v
+    carries counts[v] markings; the vertex automorphisms of the key that fix
+    every marked vertex; and the number of labelled types in the orbit.
+
+    The vertex automorphisms of the key act on the assignments of the
+    markings to the vertices through the permutations they induce on the
+    marked vertices, and those act freely.  There are a of them, the
+    automorphisms over the subgroup that fixes every marked vertex, so the
+    orbit holds n! / (a * prod counts[v]!) labelled types.  That subgroup is
+    a labelled type's automorphism group.  A division with a remainder
+    raises InternalConsistencyError."""
+    encoded, edges, _ = key
+    counts = tuple([x % (n + 1) for x in encoded])
+    marked = [v for v, c in enumerate(counts) if c]
+    sigmas = _vertex_automorphisms(encoded, edges, ())
+    fixing = [sigma for sigma in sigmas if [sigma[v] for v in marked] == marked]
+    size, rest = divmod(
+        factorial(n) * len(fixing), len(sigmas) * prod(map(factorial, counts))
+    )
+    if rest:
+        raise InternalConsistencyError(
+            f"orbit {key} of n = {n} markings: {len(sigmas)} automorphisms, "
+            f"{len(fixing)} fixing the marked vertices, give no whole orbit size"
+        )
+    return counts, fixing, size
+
+
 def count_types(g: int, n: int) -> tuple[int, ...]:
-    """Counts of stable types by edge number (the f-vector)."""
-    return enumerate_types(g, n).f_vector
+    """Counts of stable types by edge number (the f-vector), summed over the
+    S_n-orbits of enumerate_orbits without labelling any: each orbit adds
+    its size (see _orbit_size) to its edge count.  For n <= 1 an orbit is one
+    type, and no automorphism is searched.  A purity error names an orbit
+    key."""
+    orbits = enumerate_orbits(g, n)
+    counts = [0] * (max_edges(g, n) + 1)
+    for key in orbits:
+        counts[len(key[1])] += 1 if n <= 1 else _orbit_size(key, n)[2]
+    return tuple(counts)

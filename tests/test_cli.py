@@ -61,6 +61,23 @@ class TestEnumerateCommand:
         assert code == 0
         assert out.splitlines() == ["edges,count", "0,1", "1,2", "2,2", "3,2"]
 
+    def test_csv_counts_orbits_without_the_labelled_catalog(self, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("CSV output must not label the catalog")
+
+        monkeypatch.setattr(cli, "enumerate_types", refused)
+        _, out, _ = run(
+            capsys, "enumerate", "--genus", "2", "--markings", "0", "--format", "csv"
+        )
+        assert out.splitlines() == ["edges,count", "0,1", "1,2", "2,2", "3,2"]
+        code, out, _ = run(
+            capsys, "enumerate", "--genus", "2", "--markings", "4", "--format", "csv",
+            "--threads", "2",
+        )
+        assert code == 0
+        counts = (1, 20, 134, 526, 1262, 1794, 1406, 465)
+        assert out.splitlines() == ["edges,count"] + [f"{e},{c}" for e, c in enumerate(counts)]
+
     def test_dot_output(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--genus", "1", "--markings", "1", "--format", "dot"

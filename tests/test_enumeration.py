@@ -12,8 +12,9 @@ from tropmoduli import (
     max_edges,
 )
 
-from tropmoduli import enumeration
+from tropmoduli import enumeration, homology
 from tropmoduli.complexes import is_odd
+from tropmoduli.errors import InternalConsistencyError
 from tropmoduli.graphs import _canonical_raw, _start_colors
 
 from oracles import (
@@ -262,3 +263,72 @@ class TestBruteForceAgreement:
     )
     def test_genus_one_five_marks_matches_oracle(self):
         assert len(brute_force_catalog(1, 5)) == enumerate_types(1, 5).count
+
+
+class TestOrbitCount:
+    """count_types sums the sizes of the S_n-orbits of enumerate_orbits and
+    labels no type."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_genus_zero_equals_tree_counts(self, n):
+        assert count_types(0, n) == homology._tree_counts(n)
+
+    @pytest.mark.parametrize("n,total", [(9, 660_032), (10, 12_818_912), (12, 6_939_897_856)])
+    def test_genus_zero_totals_are_schroeders_fourth_problem(self, n, total):
+        # OEIS A000311: the phylogenetic trees with n labelled leaves
+        assert sum(count_types(0, n)) == total
+
+    @pytest.mark.parametrize(
+        "g,n",
+        # the criterion-6 cases, whose orbit sizes test_homology also sums;
+        # (2, 2), the one brute-force case beyond them; three larger ones
+        [(g, n) for g in range(3) for n in range(8)
+         if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 4]
+        + [(2, 2), (2, 4), (4, 1), (3, 2)],
+    )
+    def test_equals_labelled_f_vector(self, g, n):
+        assert count_types(g, n) == enumerate_types(g, n).f_vector
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("g,n,total", [(2, 6, 1_106_920), (1, 8, 5_031_736)])
+    def test_counts_past_the_labelled_sweep(self, g, n, total):
+        counts = count_types(g, n)
+        assert (sum(counts), len(counts)) == (total, max_edges(g, n) + 1)
+
+    def test_count_audits_the_orbit_size(self, monkeypatch):
+        # without the automorphisms that move a marked vertex, every orbit
+        # of a genus-1 cycle with a reflection claims twice its types
+        expected = enumerate_types(1, 4).f_vector
+        listed = enumeration._vertex_automorphisms
+        monkeypatch.setattr(enumeration, "_vertex_automorphisms", lambda *key: listed(*key)[:1])
+        try:
+            counts = count_types(1, 4)
+        except InternalConsistencyError:
+            return
+        assert counts != expected
+
+    def test_orbit_size_with_a_remainder_raises(self, monkeypatch):
+        # three markings on vertex 0 and a swap that moves it: 3! / (2 * 3!)
+        monkeypatch.setattr(enumeration, "_vertex_automorphisms", lambda *key: [[0, 1], [1, 0]])
+        with pytest.raises(InternalConsistencyError, match="no whole orbit size"):
+            enumeration._orbit_size(((3, 4), ((0, 1),), ()), 3)
+
+    def test_one_marking_searches_no_automorphism(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("for n <= 1 each orbit is one type")
+
+        monkeypatch.setattr(enumeration, "_vertex_automorphisms", refused)
+        assert count_types(4, 1) == (1, 4, 17, 57, 161, 344, 565, 657, 534, 259, 67)
+        assert count_types(2, 0) == (1, 2, 2, 2)
+
+    def test_reads_no_labelled_sweep(self, monkeypatch):
+        sweeps = []
+        sweep = enumeration._sweep
+
+        def recorded(g, n, start_key, unit=1, threads=1):
+            sweeps.append(unit)
+            return sweep(g, n, start_key, unit, threads)
+
+        monkeypatch.setattr(enumeration, "_sweep", recorded)
+        assert sum(count_types(2, 4)) == 5608
+        assert sweeps == [5]

@@ -654,8 +654,8 @@ class TestOrbitRoute:
     def test_labelling_audits_the_orbit_size(self, monkeypatch):
         # without the automorphisms that move a marked vertex, every orbit
         # of a genus-1 cycle with a reflection claims twice its cells
-        listed = complexes._vertex_automorphisms
-        monkeypatch.setattr(complexes, "_vertex_automorphisms", lambda *key: listed(*key)[:1])
+        listed = enumeration._vertex_automorphisms
+        monkeypatch.setattr(enumeration, "_vertex_automorphisms", lambda *key: listed(*key)[:1])
         with pytest.raises(InternalConsistencyError, match="labels into"):
             reduced_homology(1, 4)
 

@@ -7,14 +7,18 @@ them fails here, not first in a benchmark run.  Its self-test also traces
 `homology --genus 1 --markings 3` and reads the chain ranks off the result
 of homology.build_chain_complex, as the summed lengths of
 generators_by_degree; the orbit route keeps that contract without labelling
-the cells it only counts (test_orbit_route_keeps_the_tracer_contract).
+the cells it only counts (test_orbit_route_keeps_the_tracer_contract).  And
+it traces `enumerate --genus 2 --markings 0 --threads 2`, whose JSON output
+still reads the labelled catalog, and counts two pooled calls of
+parallel.parallel_map; `enumerate --format csv` counts orbits instead and
+passes no thread budget (test_enumerate_json_keeps_the_pooled_calls).
 """
 
 import subprocess
 import sys
 from pathlib import Path
 
-from tropmoduli import complexes, homology, reduced_homology
+from tropmoduli import cli, complexes, enumeration, homology, reduced_homology
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +54,20 @@ def test_orbit_route_keeps_the_tracer_contract(monkeypatch):
     # only the basis is labelled: weight 0, no loop, no repeated edge
     assert labelled and all(homology._simple_weight_zero(*triple) for triple in labelled)
     assert sum(map(len, chain.basis_by_degree)) < 16
+
+
+def test_enumerate_json_keeps_the_pooled_calls(monkeypatch, capsys):
+    # the self-test's count: f-vector (1, 2, 2, 2), so the levels with one
+    # and two edges are mapped with two items each and threads = 2
+    calls = []
+    pool_map = enumeration.parallel_map
+
+    def recorded(fn, items, threads=1):
+        items = list(items)
+        calls.append((len(items), threads))
+        return pool_map(fn, items, threads=threads)
+
+    monkeypatch.setattr(enumeration, "parallel_map", recorded)
+    assert cli.dispatch(["enumerate", "--genus", "2", "--markings", "0", "--threads", "2"]) == 0
+    assert '"count": 7' in capsys.readouterr().out
+    assert sum(items > 1 and threads == 2 for items, threads in calls) == 2
