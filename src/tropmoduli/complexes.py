@@ -31,7 +31,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .enumeration import TypeCatalog, _orbit_size, enumerate_types, max_edges
+from .enumeration import (
+    TypeCatalog,
+    _labelled_types,
+    _orbit_size,
+    enumerate_orbits,
+    enumerate_types,
+    max_edges,
+)
 from .errors import InternalConsistencyError
 from .graphs import (
     EdgeAutomorphismGroup,
@@ -161,61 +168,50 @@ def link_cells(g: int, n: int) -> FacePoset:
 def complex_dimension(g: int, n: int) -> int:
     """Dimension 3g - 4 + n of the link, after verifying purity.
 
-    Every contraction-maximal type must have exactly 3g - 3 + n edges.  The
-    enumeration sweep checks this as it expands each level and raises an
-    internal consistency error naming the first offending type.
+    Every contraction-maximal type must have exactly 3g - 3 + n edges.  A
+    type is pure exactly when its S_n-orbit is, since both have the same
+    weights, edges and marking counts, so the sweep of enumerate_orbits
+    checks this and raises an internal consistency error naming the first
+    offending orbit; nothing is labelled.
     """
-    enumerate_types(g, n)
+    enumerate_orbits(g, n)
     return max_edges(g, n) - 1
 
 
-def _orbit(key, n: int) -> tuple[tuple, int, bool]:
-    """The unlabelled triple (weights, edges, counts) of an orbit key of
-    enumerate_orbits, where vertex v carries counts[v] markings; the number
-    of labelled types in the orbit, from enumeration._orbit_size; and
-    whether they are odd, read off the automorphisms fixing every marked
-    vertex, a labelled type's automorphism group."""
-    counts, fixing, size = _orbit_size(key, n)
-    weights = tuple([x // (n + 1) for x in key[0]])
-    return (weights, key[1], counts), size, _edge_group(key[1], fixing).has_odd_element
+def _orbit(key) -> tuple[int, bool]:
+    """The number of labelled types in the orbit of an orbit key of
+    enumerate_orbits, from enumeration._orbit_size, and whether they are
+    odd, read off the automorphisms fixing every marked vertex, a labelled
+    type's automorphism group."""
+    fixing, size = _orbit_size(key)
+    return size, _edge_group(key[1], fixing).has_odd_element
 
 
 def _label(orbits) -> tuple[tuple, ...]:
     """The canonical triples of the labelled types in the orbits, sorted by
-    encoding as in the catalog.  Each orbit is an unlabelled triple with its
-    size from _orbit; it labels into every distinct canonical form of its
-    assignments of the markings, and their number must be that size."""
+    encoding as in the catalog.  Each orbit is an orbit key with its size
+    from _orbit, and it must label into that many types (see
+    enumeration._labelled_types)."""
     cells = []
-    for (weights, edges, counts), size in orbits:
-        labelled = {
-            _canonical_raw(weights, edges, markings)[0]
-            for markings in _assignments(counts)
-        }
+    for key, size in orbits:
+        labelled = _labelled_types(key)
         if len(labelled) != size:
             raise InternalConsistencyError(
-                f"orbit {(weights, edges, counts)} labels into {len(labelled)} "
-                f"types, but its automorphisms give {size}"
+                f"orbit {key} labels into {len(labelled)} types, but its "
+                f"automorphisms give {size}"
             )
         cells += labelled
     return tuple(sorted(cells, key=repr))
-
-
-def _assignments(counts) -> list[tuple[int, ...]]:
-    """Every markings tuple that puts counts[v] markings on vertex v."""
-    tuples = [()]
-    for _ in range(sum(counts)):
-        tuples = [t + (v,) for t in tuples for v, c in enumerate(counts) if t.count(v) < c]
-    return tuples
 
 
 class OrbitCells(Sequence):
     """The labelled cells of some S_n-orbits of one dimension, as canonical
     triples in catalog order.
 
-    orbits holds (unlabelled triple, size) pairs from _orbit.  The length is
-    the sum of the sizes, so it is read without labelling; the cells are
-    labelled on first read.  where(test) labels only the orbits whose
-    unlabelled triple passes test, a test that reads no markings.
+    orbits holds (orbit key, size) pairs from _orbit.  The length is the sum
+    of the sizes, so it is read without labelling; the cells are labelled on
+    first read.  where(test) labels only the orbits whose key passes test, a
+    test that reads no markings.
     """
 
     def __init__(self, orbits: tuple[tuple[tuple, int], ...]):
@@ -255,9 +251,9 @@ class OrbitCatalog:
         for key in self.keys[1:]:
             if _repeated_edge(key[1]):  # odd, with no automorphism search
                 continue
-            triple, size, odd = _orbit(key, self.n)
+            size, odd = _orbit(key)
             if not odd:
-                by_dimension[len(key[1]) - 1].append((triple, size))
+                by_dimension[len(key[1]) - 1].append((key, size))
         return tuple(OrbitCells(tuple(orbits)) for orbits in by_dimension)
 
 

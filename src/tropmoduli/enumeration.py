@@ -1,24 +1,28 @@
 """Enumeration of all stable combinatorial types of a fixed (g, n).
 
-Generation runs by reverse contraction from the one-vertex type: each level
-adds one edge, either by trading a unit of vertex weight for a loop or by
-splitting a vertex and distributing its half-edges, weight, and markings
-between the two halves.  Contracting the new edge undoes the move, and every
-stable type contracts edge-by-edge to the one-vertex type, so the sweep is
-complete.
+One sweep generates the S_n-orbits of the types, types with unlabelled
+markings: an orbit key is a canonical (weights, edges, markings) triple
+whose markings are the sorted tuple of the vertices carrying them.  It runs
+by reverse contraction from the one-vertex type: each level adds one edge,
+either by trading a unit of vertex weight for a loop or by splitting a
+vertex and distributing its half-edges, weight, and markings (k of its c,
+for k = 0 .. c) between the two halves.  Contracting the new edge undoes the
+move, and every stable type contracts edge-by-edge to the one-vertex type,
+so the sweep is complete.
 
 Only candidates that pass a cheap acceptance test are built and
 canonicalized (the necessary-condition half of McKay's canonical
-augmentation, *Isomorph-free exhaustive generation*, 1998).  A candidate's
-new edge is always its last edge, and it is accepted only when that edge
-carries the largest edge invariant among all of its edges.  The invariant of
-an edge is the sorted pair of its endpoints' start colors (weight, marking
-bitmask, valence, loop count), which an isomorphism preserves.  No type is
-lost: take any edge e of a type T with the largest invariant.  Contracting e
-gives a stable type of the previous level, and expanding that type's
-canonical form regrows T with e as the new edge.  (When the split that does
-so is skipped as a mirror image, the mirror split is generated, and it
-regrows T with e as the new edge too, its two ends swapped.)  The
+augmentation, *Isomorph-free exhaustive generation*, 1998, which holds for
+any start coloring that isomorphisms preserve).  A candidate's new edge is
+always its last edge, and it is accepted only when that edge carries the
+largest edge invariant among all of its edges.  The invariant of an edge is
+the sorted pair of its endpoints' start colors (weight, marking bitmask,
+valence, loop count), where c markings give the bitmask of c low bits.  No
+type is lost: take any edge e of a type T with the largest invariant.
+Contracting e gives a stable type of the previous level, and expanding that
+type's canonical form regrows T with e as the new edge.  (When the split
+that does so is skipped as a mirror image, the mirror split is generated,
+and it regrows T with e as the new edge too, its two ends swapped.)  The
 isomorphism to T preserves invariants, so that candidate is accepted.  A
 type can still be reached through several accepted candidates, so each
 level keeps a set of canonical keys to remove the rest.
@@ -37,28 +41,28 @@ at v, so 2**(h-1) half-edge choices are tried at a vertex with h >= 1.
 Bounds on the halves' colors skip a vertex whose splits cannot beat the
 largest edge away from it or the far end of an edge at it.
 
-The catalog order (edge count, then canonical encoding) is part of the
-external contract: golden files depend on it.
-
 Purity is checked in closed form: a type below 3g - 3 + n edges is
 maximal, a cone of too low a dimension, unless some vertex has positive
-weight or four or more half-edges and markings.
+weight or four or more half-edges and markings.  A purity error names an
+orbit key.
+
+enumerate_types labels each level of orbits.  An orbit whose markings sit
+on at most one vertex is its own labelled type: its colors and encoding are
+the labelled ones, and for n <= 1 every orbit is one.  Any other orbit
+gives the distinct canonical forms of its assignments of the markings.  The
+catalog order (edge count, then canonical encoding) is part of the external
+contract: golden files depend on it.  count_types, which the CLI's CSV
+output prints, sums the orbit sizes by edge count and labels nothing.
 
 The sweep and the catalog keep bare (weights, edges, markings) tuples;
 graph objects are built only when the catalog's strata are read.
-
-enumerate_orbits runs the same sweep on the S_n-orbits of the types, types
-whose markings are unlabelled and counted per vertex in its weight; every
-argument above holds for any start color that isomorphisms preserve.
-count_types, which the CLI's CSV output prints, sums the orbit sizes by edge
-count and never labels a type, so a purity error it raises names an orbit
-key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import permutations
 from math import factorial, prod
 
 from .errors import InternalConsistencyError, UnstableTypeError
@@ -126,22 +130,13 @@ def _pair(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def _expand_to_keys(key, unit=1):
-    """Whether a type has any stable one-edge expansion, and the canonical
-    keys of its accepted expansions.  Only accepted candidates are built,
-    each distinct one once, and their start colors go to the labeling.
-
-    With unit n + 1 the key is an orbit of enumerate_orbits: its markings
-    are (), and vertex weight x stands for weight x // unit with x % unit
-    markings.  Its colors carry c markings as the bitmask of c low bits,
-    which orders them as x does, so the acceptance test and the labeling
-    read them as they read a type's.  A split then moves k of the c
-    markings, for k = 0 .. c, where a type moves each subset of its marking
-    bits; that is the only difference."""
+def _expand_to_keys(key):
+    """Whether an orbit key has any stable one-edge expansion, and the
+    canonical orbit keys of its accepted expansions.  Only accepted
+    candidates are built, each distinct one once, and their start colors go
+    to the labeling."""
     weights, edges, markings = key
-    colors = _start_colors(weights, edges, markings)
-    if unit > 1:
-        colors = [(x // unit, (1 << x % unit) - 1, val, lp) for x, _, val, lp in colors]
+    colors = _start_colors(weights, edges, markings, unlabelled=True)
     if not _expandable(colors):
         return False, []
     nv = len(weights)
@@ -169,7 +164,7 @@ def _expand_to_keys(key, unit=1):
             c = (w - 1, marks, val + 2, nloops + 1)
             if away <= (c, c) and all(far <= c for _, far in near[v]):
                 child = (
-                    weights[:v] + (weights[v] - unit,) + weights[v + 1:],
+                    weights[:v] + (w - 1,) + weights[v + 1:],
                     edges + ((v, v),),
                     markings,
                 )
@@ -182,19 +177,7 @@ def _expand_to_keys(key, unit=1):
         if (lower, upper) < away or any(far > upper for _, far in near[v]):
             continue
         m = marks.bit_count()
-        # (markings moved, color bits kept, color bits moved, and what they
-        # add to the new vertex's weight in an orbit); entry i mirrors entry
-        # len - 1 - i
-        if unit > 1:
-            splits = [(k, (1 << m - k) - 1, (1 << k) - 1, k) for k in range(m + 1)]
-        else:
-            splits = [(0, marks, 0, 0)]
-            for k, mv in enumerate(markings):
-                if mv == v:
-                    splits += [
-                        (moved_m + 1, kept_bits ^ 1 << k, bits | 1 << k, 0)
-                        for moved_m, kept_bits, bits, _ in splits
-                    ]
+        elsewhere = tuple([u for u in markings if u != v]) if m else markings
         h = len(slots[v])
         # with h >= 1, a split or its mirror keeps the last slot at v, not both
         for slot_bits in range(1 << (h - 1)) if h else (0,):
@@ -213,15 +196,16 @@ def _expand_to_keys(key, unit=1):
                 loops_kept += ends == 0
                 loops_moved += ends == 3
             new_edges = None
-            for i, (moved_m, kept_marks, moved_marks, added) in enumerate(splits):
+            # k markings move; the split moving m - k mirrors it
+            for k in range(m + 1):
                 # the weights that leave both halves stable
-                lo = 1 if moved + moved_m <= 1 else 0
-                hi = w - 1 if kept + m - moved_m <= 1 else w
+                lo = 1 if moved + k <= 1 else 0
+                hi = w - 1 if kept + m - k <= 1 else w
                 for w_new in range(lo, hi + 1):
-                    if not h and (i, w_new) > (len(splits) - 1 - i, w - w_new):
+                    if not h and (k, w_new) > (m - k, w - w_new):
                         continue  # the edgeless type: skip the mirror here
-                    cv = (w - w_new, kept_marks, kept + 1, loops_kept)
-                    cn = (w_new, moved_marks, moved + 1, loops_moved)
+                    cv = (w - w_new, (1 << m - k) - 1, kept + 1, loops_kept)
+                    cn = (w_new, (1 << k) - 1, moved + 1, loops_moved)
                     if (
                         kept_far > cn
                         or moved_far > cv
@@ -237,35 +221,32 @@ def _expand_to_keys(key, unit=1):
                                 a, b = new_edges[idx]
                                 new_edges[idx] = (b, nv) if a == v else (a, nv)
                         new_edges = tuple(new_edges) + ((v, nv),)
-                    x_new = w_new * unit + added
                     child = (
-                        weights[:v] + (weights[v] - x_new,) + weights[v + 1:] + (x_new,),
+                        weights[:v] + (w - w_new,) + weights[v + 1:] + (w_new,),
                         new_edges,
-                        tuple(
-                            nv if moved_marks >> k & 1 else mv
-                            for k, mv in enumerate(markings)
-                        ),
+                        elsewhere + (v,) * (m - k) + (nv,) * k,
                     )
                     accepted.setdefault(
                         child, colors[:v] + [cv] + colors[v + 1:] + [cn]
                     )
-    return True, [_canonical_raw(*c, start=s)[0] for c, s in accepted.items()]
+    return True, [
+        _canonical_raw(*c, start=s, unlabelled=True)[0] for c, s in accepted.items()
+    ]
 
 
-def _sweep(g: int, n: int, start_key, unit: int = 1, threads: int = 1) -> list[list]:
-    """The canonical keys reached from start_key, level by level, each level
-    sorted by encoding; see enumerate_types and enumerate_orbits.
+def _sweep(g: int, n: int, threads: int = 1) -> list[list]:
+    """The canonical orbit keys of (g, n), level by level, each level sorted
+    by encoding; see enumerate_orbits.
 
     Raises InternalConsistencyError for the first key, in that order, that
     has fewer than 3g - 3 + n edges and no expansion.  This reads the
     closed-form test, not the accepted expansions, which may be none.
     """
     top = max_edges(g, n)
-    expand = partial(_expand_to_keys, unit=unit)
-    level_keys = [[start_key]]
+    level_keys = [[((g,), (), (0,) * n)]]
     for edges in range(top):
         # threads reaches perfbench/tracer.py, whose self-test counts pooled calls
-        batches = parallel_map(expand, level_keys[-1], threads=threads)
+        batches = parallel_map(_expand_to_keys, level_keys[-1], threads=threads)
         found = set()
         for key, (expandable, batch) in zip(level_keys[-1], batches):
             if not expandable:
@@ -279,75 +260,89 @@ def _sweep(g: int, n: int, start_key, unit: int = 1, threads: int = 1) -> list[l
     return level_keys
 
 
+def _is_type(markings) -> bool:
+    """Whether an orbit with these marked vertices is a single labelled
+    type, its own key: its markings sit on at most one vertex, so its colors
+    and its encoding are the labelled ones."""
+    return len(set(markings)) <= 1
+
+
+def _labelled_types(key) -> set:
+    """The canonical keys of the labelled types in the orbit key: the key
+    itself when it is one (see _is_type), and otherwise the distinct
+    canonical forms of the assignments of its markings."""
+    weights, edges, markings = key
+    if _is_type(markings):
+        return {key}
+    return {_canonical_raw(weights, edges, a)[0] for a in set(permutations(markings))}
+
+
 def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
     """Complete, duplicate-free and pure catalog of stable (g, n) types.
 
-    Each level canonicalizes only the expansions whose new edge has the
-    largest edge invariant (see the module docstring for why no type is
-    lost) and keeps the distinct keys, sorted by their encoding.  A type
-    below 3g - 3 + n edges without an expansion raises
-    InternalConsistencyError (see _sweep).
+    The levels of enumerate_orbits, each orbit replaced by its labelled
+    types (see _labelled_types) and each level sorted by encoding.  For
+    n <= 1 every orbit is its type, so the orbit levels are the catalog's.
+    A purity error names an orbit key (see _sweep).
     """
     require_stable_range(g, n)
-    level_keys = _sweep(g, n, ((g,), (), (0,) * n), threads=threads)
-    keys = tuple(key for level in level_keys for key in level)
-    f_vector = tuple(len(level) for level in level_keys)
+    levels = _sweep(g, n, threads)
+    if n > 1:
+        levels = [
+            sorted([t for key in level for t in _labelled_types(key)], key=repr)
+            for level in levels
+        ]
+    keys = tuple(key for level in levels for key in level)
+    f_vector = tuple(len(level) for level in levels)
     return TypeCatalog(g=g, n=n, keys=keys, f_vector=f_vector)
 
 
 def enumerate_orbits(g: int, n: int) -> tuple[tuple, ...]:
     """The S_n-orbits of the stable (g, n) types, in catalog order.
 
-    An orbit is a type with unlabelled markings: the canonical triple
-    (weights, edges, ()) in which vertex weight w * (n + 1) + c stands for
-    weight w and c markings.  Isomorphisms preserve that color, so the sweep
-    of enumerate_types, its acceptance test included, runs on these triples
-    unchanged; only a split moves a number of markings instead of a subset.
-    For n <= 1 each orbit is one type.  count_types and the homology of
-    g >= 1 read these orbits, so a purity error they raise names an orbit
-    key, not a labelled type.
+    An orbit is a type with unlabelled markings: the triple (weights, edges,
+    markings) whose markings are the sorted tuple of the vertices that carry
+    them, canonical under _canonical_raw with unlabelled.  For n <= 1 each
+    orbit is one type, with that type's key.
     """
     require_stable_range(g, n)
-    level_keys = _sweep(g, n, ((g * (n + 1) + n,), (), ()), unit=n + 1)
-    return tuple(key for level in level_keys for key in level)
+    return tuple(key for level in _sweep(g, n) for key in level)
 
 
-def _orbit_size(key, n: int) -> tuple[tuple[int, ...], list[list[int]], int]:
-    """The marking counts of an orbit key of enumerate_orbits, where vertex v
-    carries counts[v] markings; the vertex automorphisms of the key that fix
-    every marked vertex; and the number of labelled types in the orbit.
+def _orbit_size(key) -> tuple[list[list[int]], int]:
+    """The vertex automorphisms of an orbit key that fix every marked
+    vertex, and the number of labelled types in the orbit.
 
     The vertex automorphisms of the key act on the assignments of the
     markings to the vertices through the permutations they induce on the
     marked vertices, and those act freely.  There are a of them, the
     automorphisms over the subgroup that fixes every marked vertex, so the
-    orbit holds n! / (a * prod counts[v]!) labelled types.  That subgroup is
-    a labelled type's automorphism group.  A division with a remainder
-    raises InternalConsistencyError."""
-    encoded, edges, _ = key
-    counts = tuple([x % (n + 1) for x in encoded])
-    marked = [v for v, c in enumerate(counts) if c]
-    sigmas = _vertex_automorphisms(encoded, edges, ())
+    orbit holds n! / (a * prod c_v!) labelled types, where vertex v carries
+    c_v markings.  That subgroup is a labelled type's automorphism group.  A
+    division with a remainder raises InternalConsistencyError."""
+    weights, edges, markings = key
+    marked = sorted(set(markings))
+    sigmas = _vertex_automorphisms(weights, edges, markings, unlabelled=True)
     fixing = [sigma for sigma in sigmas if [sigma[v] for v in marked] == marked]
     size, rest = divmod(
-        factorial(n) * len(fixing), len(sigmas) * prod(map(factorial, counts))
+        factorial(len(markings)) * len(fixing),
+        len(sigmas) * prod([factorial(markings.count(v)) for v in marked]),
     )
     if rest:
         raise InternalConsistencyError(
-            f"orbit {key} of n = {n} markings: {len(sigmas)} automorphisms, "
-            f"{len(fixing)} fixing the marked vertices, give no whole orbit size"
+            f"orbit {key}: {len(sigmas)} automorphisms, {len(fixing)} fixing "
+            "the marked vertices, give no whole orbit size"
         )
-    return counts, fixing, size
+    return fixing, size
 
 
 def count_types(g: int, n: int) -> tuple[int, ...]:
     """Counts of stable types by edge number (the f-vector), summed over the
     S_n-orbits of enumerate_orbits without labelling any: each orbit adds
-    its size (see _orbit_size) to its edge count.  For n <= 1 an orbit is one
-    type, and no automorphism is searched.  A purity error names an orbit
-    key."""
-    orbits = enumerate_orbits(g, n)
+    its size (see _orbit_size) to its edge count.  An orbit that is one type
+    (see _is_type) adds 1, and no automorphism is searched.  A purity error
+    names an orbit key."""
     counts = [0] * (max_edges(g, n) + 1)
-    for key in orbits:
-        counts[len(key[1])] += 1 if n <= 1 else _orbit_size(key, n)[2]
+    for key in enumerate_orbits(g, n):
+        counts[len(key[1])] += 1 if _is_type(key[2]) else _orbit_size(key)[1]
     return tuple(counts)

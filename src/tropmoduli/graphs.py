@@ -331,14 +331,15 @@ def _adjacency(nv: int, edges) -> list[list[int]]:
     return adj
 
 
-def _start_colors(weights, edges, markings) -> list:
+def _start_colors(weights, edges, markings, unlabelled=False) -> list:
     """Per-vertex start colors (weight, marking bitmask, valence, loop
     count), built in one pass over the edges; a loop counts twice toward
-    valence."""
+    valence.  With unlabelled the markings are counted, not told apart: a
+    vertex with c of them gets the bitmask of c low bits."""
     nv = len(weights)
     marks = [0] * nv
     for k, v in enumerate(markings):
-        marks[v] |= 1 << k
+        marks[v] = marks[v] << 1 | 1 if unlabelled else marks[v] | 1 << k
     valence = [0] * nv
     loops = [0] * nv
     for u, v in edges:
@@ -379,8 +380,9 @@ def _refine_ranks(nv, adj, colors: list[int], count: int) -> tuple[list[int], in
         count = len(distinct)
 
 
-def _encode_raw(weights, edges, markings, pos):
-    """The triple relabeled by pos (old vertex -> new vertex), edges sorted."""
+def _encode_raw(weights, edges, markings, pos, unlabelled=False):
+    """The triple relabeled by pos (old vertex -> new vertex), edges sorted,
+    and with unlabelled the markings sorted too."""
     new_weights = [0] * len(pos)
     for v, p in enumerate(pos):
         new_weights[p] = weights[v]
@@ -389,12 +391,16 @@ def _encode_raw(weights, edges, markings, pos):
         a, b = pos[u], pos[v]
         new_edges.append((a, b) if a <= b else (b, a))
     new_edges.sort()
-    return tuple(new_weights), tuple(new_edges), tuple(pos[m] for m in markings)
+    new_markings = [pos[m] for m in markings]
+    if unlabelled:
+        new_markings.sort()
+    return tuple(new_weights), tuple(new_edges), tuple(new_markings)
 
 
-def _minimal_leaves(weights, edges, markings, start=None):
+def _minimal_leaves(weights, edges, markings, start=None, unlabelled=False):
     """Minimal encoding over all admissible labelings, and the positions
     (old vertex -> new vertex) of every leaf reaching it, in search order.
+    With unlabelled the markings are counted and sorted, as in an S_n-orbit.
 
     start holds the start colors when the caller has them already; they are
     ranked once.  When they are pairwise distinct, refinement cannot reorder
@@ -408,7 +414,7 @@ def _minimal_leaves(weights, edges, markings, start=None):
     instead.
     """
     if start is None:
-        start = _start_colors(weights, edges, markings)
+        start = _start_colors(weights, edges, markings, unlabelled)
     nv = len(weights)
     colors, count = _dense_ranks(start)
     if count == nv:
@@ -421,7 +427,7 @@ def _minimal_leaves(weights, edges, markings, start=None):
         nonlocal best
         colors, count = _refine_ranks(nv, adj, colors, count)
         if count == nv:  # discrete: the ranks are the positions
-            key = _encode_raw(weights, edges, markings, colors)
+            key = _encode_raw(weights, edges, markings, colors, unlabelled)
             if best is None or key < best:
                 best = key
                 leaves.clear()
@@ -442,21 +448,21 @@ def _minimal_leaves(weights, edges, markings, start=None):
     return best, leaves
 
 
-def _canonical_raw(weights, edges, markings, start=None):
+def _canonical_raw(weights, edges, markings, start=None, unlabelled=False):
     """The key (the canonically relabeled triple) and the positions (old
-    vertex -> canonical vertex) of one leaf realizing it; start as in
-    _minimal_leaves."""
-    key, leaves = _minimal_leaves(weights, edges, markings, start)
+    vertex -> canonical vertex) of one leaf realizing it; start and
+    unlabelled as in _minimal_leaves."""
+    key, leaves = _minimal_leaves(weights, edges, markings, start, unlabelled)
     if key is None:  # distinct start colors: the one leaf is not encoded yet
-        key = _encode_raw(weights, edges, markings, leaves[0])
+        key = _encode_raw(weights, edges, markings, leaves[0], unlabelled)
     return key, tuple(leaves[0])
 
 
-def _vertex_automorphisms(weights, edges, markings) -> list[list[int]]:
+def _vertex_automorphisms(weights, edges, markings, unlabelled=False) -> list[list[int]]:
     """Every vertex automorphism, as its list of vertex images, each once:
     the relabelings between the minimal leaves of the canonical labeling
-    search.  The first is the identity."""
-    _, leaves = _minimal_leaves(weights, edges, markings)
+    search (unlabelled as there).  The first is the identity."""
+    _, leaves = _minimal_leaves(weights, edges, markings, unlabelled=unlabelled)
     back = _positions(leaves[0])
     return [[back[p] for p in leaf] for leaf in leaves]
 

@@ -55,20 +55,20 @@ step.  A negative Betti number is refused.
 
 For g >= 1 the chain ranks come from S_n-orbits.  S_n permutes the
 markings, and with them the cells; parity is constant on each orbit, and the
-basis test reads no marking.  So reduced_homology enumerates the types with
-unlabelled markings (enumerate_orbits: the same sweep, a vertex's color
-carrying its number of markings) and counts each surviving orbit as
+basis test reads no marking.  So reduced_homology reads the orbits of the
+enumeration sweep (enumerate_orbits: types with unlabelled markings, a
+vertex's color counting its markings) and counts each surviving orbit as
 n! / (a * prod c_v!) labelled cells, where vertex v carries c_v markings and
 a is the number of permutations of the marked vertices that the orbit's
 automorphisms induce.  The generator cap reads those counts, and only the
-orbits in the basis are labelled: each distinct assignment of the markings,
-canonicalized.  An orbit that labels into any other number of cells than
-its count is an internal consistency error, which audits a.  The boundary
-columns and every audit are then those of the labelled catalog, which stays
-the oracle of the tests.  Chan, Galatius and Payne (arXiv 1903.07187) read
-the top-weight cohomology of M_{g,n} off this S_n-equivariant link, and
-Chan, Faber, Galatius and Payne (arXiv 1904.06367) compute its equivariant
-Euler characteristic from the same orbit data.
+orbits in the basis are labelled, as enumerate_types labels its levels.
+An orbit that labels into any other number of cells than its count is an
+internal consistency error, which audits a.  The boundary columns and every
+audit are then those of the labelled catalog, which stays the oracle of the
+tests.  Chan, Galatius and Payne (arXiv 1903.07187) read the top-weight
+cohomology of M_{g,n} off this S_n-equivariant link, and Chan, Faber,
+Galatius and Payne (arXiv 1904.06367) compute its equivariant Euler
+characteristic from the same orbit data.
 
 Genus 0 takes a route of its own, from splits.  A stable genus-0 type is a
 tree whose leaves are the markings, and each of its edges is a split of the

@@ -162,6 +162,29 @@ class TestDimension:
         with pytest.raises(InternalConsistencyError, match=message):
             complex_dimension(1, 2)
 
+    def test_orbit_without_expansion_is_named_by_its_key(self, monkeypatch):
+        # markings on two vertices: the orbit key is not a labelled type, and
+        # its markings read as the sorted tuple of the vertices carrying them
+        victim = next(
+            key for key in enumeration.enumerate_orbits(1, 3) if len(set(key[2])) == 2
+        )
+        assert victim == ((0, 1), ((0, 1),), (0, 0, 1))
+        victim_colors = _start_colors(*victim, unlabelled=True)
+        expandable = enumeration._expandable
+        monkeypatch.setattr(
+            enumeration,
+            "_expandable",
+            lambda colors: colors != victim_colors and expandable(colors),
+        )
+        message = re.escape(
+            "purity violation at (g, n) = (1, 3): maximal type "
+            "((0, 1), ((0, 1),), (0, 0, 1)) has 1 edges, expected 3"
+        )
+        with pytest.raises(InternalConsistencyError, match=message):
+            enumerate_types(1, 3)
+        with pytest.raises(InternalConsistencyError, match=message):
+            complex_dimension(1, 3)
+
 
 class TestHasse:
     def test_dot_output(self):

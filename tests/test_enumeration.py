@@ -159,7 +159,8 @@ def _levels(catalog):
 class TestCanonicalAugmentation:
     @pytest.mark.parametrize(
         "g,n",
-        [(0, 6), (0, 7), (1, 4), (1, 5), (2, 3), (2, 4), (3, 0), (3, 2), (4, 1)],
+        [(0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (3, 0), (3, 2),
+         (3, 3), (4, 1)],
     )
     def test_levels_match_unfiltered_sweep(self, g, n):
         # same keys in the same order as canonicalizing every expansion
@@ -193,37 +194,52 @@ class TestExpansionPerParent:
         [(0, 6), (0, 7), (1, 4), (1, 5), (2, 3), (2, 4), (3, 0), (3, 2), (4, 1)],
     )
     def test_flag_and_accepted_keys_match_reference(self, g, n):
-        for key in enumerate_types(g, n).keys:
+        # the reference moves each subset of a vertex's markings, where the
+        # sweep moves a number of them, so several candidates give one child
+        for key in enumeration.enumerate_orbits(g, n):
             expandable, keys = enumeration._expand_to_keys(key)
-            candidates = _reference_expand_raw(*key)
-            assert expandable == bool(candidates), key
-            # one key per distinct accepted candidate: no repeat, none lost
-            reference = [
-                _canonical_raw(*c)[0]
-                for c in candidates
-                if _reference_new_edge_is_maximal(c[1], _start_colors(*c))
+            candidates = [
+                (weights, edges, tuple(sorted(markings)))
+                for weights, edges, markings in _reference_expand_raw(*key)
             ]
-            assert sorted(keys, key=repr) == sorted(reference, key=repr), key
+            assert expandable == bool(candidates), key
+            reference = {
+                _canonical_raw(*c, unlabelled=True)[0]
+                for c in candidates
+                if _reference_new_edge_is_maximal(
+                    c[1], _start_colors(*c, unlabelled=True)
+                )
+            }
+            assert set(keys) == reference, key
 
     @pytest.mark.parametrize(
-        "g,n,calls",
-        [(2, 4, 6786), (4, 1, 3969), (0, 7, 2751), (1, 5, 1763), (3, 2, 1869)],
+        "g,n,swept,labelled",
+        [(2, 4, 832, 6586), (4, 1, 3969, 0), (0, 7, 12, 4501), (1, 5, 82, 2000),
+         (3, 2, 1261, 1112)],
     )
-    def test_canonicalizations_are_exact(self, monkeypatch, g, n, calls):
-        # one labeling per distinct accepted candidate; a duplicate or a
-        # candidate that leaks past the acceptance test changes the count
-        count = 0
+    def test_canonicalizations_are_exact(self, monkeypatch, g, n, swept, labelled):
+        # the sweep labels each distinct accepted candidate once, with its
+        # start colors; a duplicate or a candidate that leaks past the
+        # acceptance test changes the count.  Labelling the orbits then
+        # canonicalizes each assignment of the markings of an orbit that is
+        # not one type; for n <= 1 every orbit is one, so (4, 1) does the
+        # work of the labelled sweep it replaced, 3,969 labelings.
+        count = {"swept": 0, "labelled": 0}
         canonical = enumeration._canonical_raw
 
-        def counted(weights, edges, markings, start=None):
-            nonlocal count
-            count += 1
-            assert start == _start_colors(weights, edges, markings)
-            return canonical(weights, edges, markings, start)
+        def counted(weights, edges, markings, start=None, unlabelled=False):
+            if start is None:
+                count["labelled"] += 1
+                assert not unlabelled
+            else:
+                count["swept"] += 1
+                assert unlabelled
+                assert start == _start_colors(weights, edges, markings, unlabelled=True)
+            return canonical(weights, edges, markings, start, unlabelled)
 
         monkeypatch.setattr(enumeration, "_canonical_raw", counted)
         enumerate_types(g, n)
-        assert count == calls
+        assert count == {"swept": swept, "labelled": labelled}
 
     def test_graph_objects_are_built_on_first_read(self):
         catalog = enumerate_types(2, 4)
@@ -265,6 +281,43 @@ class TestBruteForceAgreement:
         assert len(brute_force_catalog(1, 5)) == enumerate_types(1, 5).count
 
 
+class TestOrbitKeys:
+    """An orbit key is a type whose markings are the sorted tuple of the
+    vertices carrying them; the catalog labels the orbits of the sweep."""
+
+    @pytest.mark.parametrize(
+        "g,n",
+        [(g, n) for g in range(4) for n in range(2)
+         if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 6]
+        + [(4, 1), (5, 0), pytest.param(5, 1, marks=pytest.mark.slow)],
+    )
+    def test_one_marking_orbits_are_the_catalog(self, g, n):
+        assert enumeration.enumerate_orbits(g, n) == enumerate_types(g, n).keys
+
+    @pytest.mark.parametrize("g,n", [(1, 4), (2, 3), (3, 2), (0, 7)])
+    def test_orbits_are_the_unlabelled_forms_of_the_reference_types(self, g, n):
+        # complete and duplicate-free, against the unfiltered labelled sweep
+        orbits = enumeration.enumerate_orbits(g, n)
+        unlabelled = {
+            _canonical_raw(*key, unlabelled=True)[0]
+            for level in reference_enumerate_keys(g, n)
+            for key in level
+        }
+        assert len(orbits) == len(set(orbits)) == len(unlabelled)
+        assert set(orbits) == unlabelled
+
+    @pytest.mark.parametrize("g,n", [(2, 4), (3, 2), (0, 7)])
+    def test_one_marked_vertex_orbit_is_its_labelled_type(self, g, n):
+        keys = [
+            key for key in enumeration.enumerate_orbits(g, n)
+            if enumeration._is_type(key[2])
+        ]
+        assert keys
+        for key in keys:
+            assert enumeration._orbit_size(key)[1] == 1
+            assert _canonical_raw(*key)[0] == key
+
+
 class TestOrbitCount:
     """count_types sums the sizes of the S_n-orbits of enumerate_orbits and
     labels no type."""
@@ -300,7 +353,9 @@ class TestOrbitCount:
         # of a genus-1 cycle with a reflection claims twice its types
         expected = enumerate_types(1, 4).f_vector
         listed = enumeration._vertex_automorphisms
-        monkeypatch.setattr(enumeration, "_vertex_automorphisms", lambda *key: listed(*key)[:1])
+        monkeypatch.setattr(
+            enumeration, "_vertex_automorphisms", lambda *key, **kw: listed(*key, **kw)[:1]
+        )
         try:
             counts = count_types(1, 4)
         except InternalConsistencyError:
@@ -309,9 +364,11 @@ class TestOrbitCount:
 
     def test_orbit_size_with_a_remainder_raises(self, monkeypatch):
         # three markings on vertex 0 and a swap that moves it: 3! / (2 * 3!)
-        monkeypatch.setattr(enumeration, "_vertex_automorphisms", lambda *key: [[0, 1], [1, 0]])
+        monkeypatch.setattr(
+            enumeration, "_vertex_automorphisms", lambda *key, **kw: [[0, 1], [1, 0]]
+        )
         with pytest.raises(InternalConsistencyError, match="no whole orbit size"):
-            enumeration._orbit_size(((3, 4), ((0, 1),), ()), 3)
+            enumeration._orbit_size(((0, 1), ((0, 1),), (0, 0, 0)))
 
     def test_one_marking_searches_no_automorphism(self, monkeypatch):
         def refused(*args):
@@ -322,13 +379,9 @@ class TestOrbitCount:
         assert count_types(2, 0) == (1, 2, 2, 2)
 
     def test_reads_no_labelled_sweep(self, monkeypatch):
-        sweeps = []
-        sweep = enumeration._sweep
+        # the one sweep runs on orbits, and count_types labels none of them
+        def refused(key):
+            raise AssertionError("count_types must not label an orbit")
 
-        def recorded(g, n, start_key, unit=1, threads=1):
-            sweeps.append(unit)
-            return sweep(g, n, start_key, unit, threads)
-
-        monkeypatch.setattr(enumeration, "_sweep", recorded)
+        monkeypatch.setattr(enumeration, "_labelled_types", refused)
         assert sum(count_types(2, 4)) == 5608
-        assert sweeps == [5]
