@@ -35,7 +35,7 @@ from .errors import (
     ResourceBoundExceeded,
     UnstableTypeError,
 )
-from .graphs import _edge_group_raw
+from .graphs import _edge_group
 from .metric import StableModelDescription, tropicalize_model
 from .plane import TropicalPolynomial, _tropical_curve, newton_subdivision, render_svg
 
@@ -181,11 +181,12 @@ def _enumerate_json(catalog):
 
 def _complex_json(link):
     """The complex JSON of a link, in pieces.  Cell i is type i + 1 and the
-    cone point is -1.  The covers and the edge groups are computed here, so
-    a failure comes before the first piece."""
+    cone point is -1.  The covers and the edge groups, from the vertex
+    automorphisms that the link keeps, are computed here, so a failure comes
+    before the first piece."""
     covers = link.covers
     types = link.keys[1:]
-    groups = [_edge_group_raw(*key) for key in types]
+    groups = [_edge_group(key[1], link.groups.get(key, ())) for key in types]
 
     cells = (
         f'{{\n      "index": {i},\n      "dimension": {len(key[1]) - 1},'

@@ -11,18 +11,18 @@ carried entirely by the edge group on each cell, whose parity is exactly what
 the homology of the link consumes.
 
 A FacePoset is the enumerated catalog, and it builds everything else on
-first read, so each consumer pays only for what it reads.  The covers serve
-the complex output, which reads each cell's edge group straight from its
-triple; homology reads the parity of each type the same way and contracts
-only the surviving cells itself.  The cones build graph objects for callers
+first read, so each consumer pays only for what it reads.  The covers and
+the edge groups of the complex output read the vertex automorphisms that
+the catalog keeps for each type.  The cones build graph objects for callers
 that want them.  The poset is unsigned: incidence signs orient the
 chain complex, so they live in the homology module.  Purity is checked by
 the enumeration sweep, so every catalog this module reads is already pure.
 
 An OrbitCatalog holds the S_n-orbits of the types instead, types with
 unlabelled markings.  It counts the surviving cells of each orbit from the
-orbit's automorphisms, and labels them only when they are read; homology
-reads it for g >= 1, where the basis is a small share of the cells.
+automorphisms that the sweep kept for the orbit, and labels them only when
+they are read; homology reads it for g >= 1, where the basis is a small
+share of the cells.
 """
 
 from __future__ import annotations
@@ -106,7 +106,9 @@ class FacePoset(TypeCatalog):
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int, int], ...]:
-        """Every (type, edge) contraction, each distinct contracted triple
+        """Every (type, edge) contraction.  The type's group maps an edge to
+        edges with isomorphic contractions, so each orbit of endpoint pairs
+        contracts its first edge, and each distinct contracted triple is
         canonicalized once: equal contracted triples come only from parents
         with equal edge counts, so the memo lives for one edge count."""
         index = {key: i for i, key in enumerate(self.keys)}
@@ -117,17 +119,24 @@ class FacePoset(TypeCatalog):
             if len(triple[1]) != level:
                 level = len(triple[1])
                 landing.clear()
-            for e in range(level):
-                contracted = _contract_raw(*triple, e)
-                child = landing.get(contracted)
+            sigmas = self.groups.get(triple, (range(len(triple[0])),))
+            orbit_child: dict = {}  # endpoint pair -> the child of its orbit
+            for e, (a, b) in enumerate(triple[1]):
+                child = orbit_child.get((a, b))
                 if child is None:
-                    child = index.get(_canonical_raw(*contracted)[0])
+                    contracted = _contract_raw(*triple, e)
+                    child = landing.get(contracted)
                     if child is None:
-                        raise InternalConsistencyError(
-                            f"contracting edge {e} of type {i} {triple} lands "
-                            "outside the catalog"
-                        )
-                    landing[contracted] = child
+                        child = index.get(_canonical_raw(*contracted)[0])
+                        if child is None:
+                            raise InternalConsistencyError(
+                                f"contracting edge {e} of type {i} {triple} lands "
+                                "outside the catalog"
+                            )
+                        landing[contracted] = child
+                    for sigma in sigmas:
+                        u, v = sigma[a], sigma[b]
+                        orbit_child[(u, v) if u <= v else (v, u)] = child
                 covers.append((i, child, e))
         return tuple(covers)
 
@@ -156,8 +165,8 @@ class FacePoset(TypeCatalog):
 def build_poset(g: int, n: int) -> FacePoset:
     """Face poset of the moduli cone complex for (g, n); covers, graphs and
     cells are built on first read."""
-    catalog = enumerate_types(g, n)
-    return FacePoset(catalog.g, catalog.n, catalog.keys, catalog.f_vector)
+    c = enumerate_types(g, n)
+    return FacePoset(c.g, c.n, c.keys, c.f_vector, c.groups)
 
 
 def link_cells(g: int, n: int) -> FacePoset:
@@ -178,12 +187,12 @@ def complex_dimension(g: int, n: int) -> int:
     return max_edges(g, n) - 1
 
 
-def _orbit(key) -> tuple[int, bool]:
+def _orbit(key, group) -> tuple[int, bool]:
     """The number of labelled types in the orbit of an orbit key of
     enumerate_orbits, from enumeration._orbit_size, and whether they are
     odd, read off the automorphisms fixing every marked vertex, a labelled
     type's automorphism group."""
-    fixing, size = _orbit_size(key)
+    fixing, size = _orbit_size(key, group)
     return size, _edge_group(key[1], fixing).has_odd_element
 
 
@@ -232,15 +241,11 @@ class OrbitCells(Sequence):
         return _label(tuple(orbit for orbit in self.orbits if test(*orbit[0])))
 
 
-@dataclass(frozen=True)
-class OrbitCatalog:
-    """The S_n-orbits of the stable (g, n) types: keys holds the canonical
-    orbit triples of enumeration.enumerate_orbits in catalog order.  The
-    surviving cells are counted per orbit and labelled only when read."""
-
-    g: int
-    n: int
-    keys: tuple[tuple, ...]
+class OrbitCatalog(TypeCatalog):
+    """The S_n-orbits of the stable (g, n) types: the catalog of
+    enumeration.enumerate_orbits itself, its keys the canonical orbit
+    triples in catalog order, each with its group.  The surviving cells are
+    counted per orbit and labelled only when read."""
 
     @cached_property
     def generators(self) -> tuple[OrbitCells, ...]:
@@ -251,7 +256,7 @@ class OrbitCatalog:
         for key in self.keys[1:]:
             if _repeated_edge(key[1]):  # odd, with no automorphism search
                 continue
-            size, odd = _orbit(key)
+            size, odd = _orbit(key, self.groups.get(key, ()))
             if not odd:
                 by_dimension[len(key[1]) - 1].append((key, size))
         return tuple(OrbitCells(tuple(orbits)) for orbits in by_dimension)

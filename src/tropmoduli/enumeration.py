@@ -54,24 +54,26 @@ catalog order (edge count, then canonical encoding) is part of the external
 contract: golden files depend on it.  count_types, which the CLI's CSV
 output prints, sums the orbit sizes by edge count and labels nothing.
 
+Each key keeps the vertex automorphisms found by the search that labelled
+it (graphs._canonical_group), if there are more than the identity: an orbit
+key the sweep's, a labelled type the labelling's, and an orbit that is its
+own type the sweep's, since its colors are the labelled ones.  The orbit
+sizes, covers, parity and edge groups read them; no key is searched twice.
+
 The sweep and the catalog keep bare (weights, edges, markings) tuples;
 graph objects are built only when the catalog's strata are read.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import factorial, prod
 
-from .errors import InternalConsistencyError, UnstableTypeError
-from .graphs import (
-    WeightedMarkedGraph,
-    _canonical_raw,
-    _start_colors,
-    _vertex_automorphisms,
-)
+from .errors import InternalConsistencyError, ResourceBoundExceeded, UnstableTypeError
+from .graphs import WeightedMarkedGraph, _canonical_group, _start_colors
 from .parallel import parallel_map
 
 
@@ -83,6 +85,7 @@ class TypeCatalog:
     n: int
     keys: tuple[tuple, ...]  # canonical (weights, edges, markings), catalog order
     f_vector: tuple[int, ...]  # counts by edge number, 0 .. 3g-3+n
+    groups: dict  # key -> its group from graphs._canonical_group, if not trivial
 
     @cached_property
     def strata(self) -> tuple[WeightedMarkedGraph, ...]:
@@ -98,6 +101,10 @@ def require_stable_range(g: int, n: int) -> None:
     if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
         raise UnstableTypeError(
             f"no stable types for (g, n) = ({g}, {n}): need 2g - 2 + n > 0"
+        )
+    if n > sys.maxsize:  # no tuple holds the edgeless type's n markings
+        raise ResourceBoundExceeded(
+            f"(g, n) = ({g}, {n}): more than {sys.maxsize} markings do not fit in memory"
         )
 
 
@@ -132,13 +139,13 @@ def _pair(a, b):
 
 def _expand_to_keys(key):
     """Whether an orbit key has any stable one-edge expansion, and the
-    canonical orbit keys of its accepted expansions.  Only accepted
-    candidates are built, each distinct one once, and their start colors go
-    to the labeling."""
+    canonical orbit keys of its accepted expansions with their groups.  Only
+    accepted candidates are built, each distinct one once, and their start
+    colors go to the labeling."""
     weights, edges, markings = key
     colors = _start_colors(weights, edges, markings, unlabelled=True)
     if not _expandable(colors):
-        return False, []
+        return False, {}
     nv = len(weights)
     # edges by falling invariant, to find the largest one away from a vertex
     ranked = sorted(
@@ -229,14 +236,14 @@ def _expand_to_keys(key):
                     accepted.setdefault(
                         child, colors[:v] + [cv] + colors[v + 1:] + [cn]
                     )
-    return True, [
-        _canonical_raw(*c, start=s, unlabelled=True)[0] for c, s in accepted.items()
-    ]
+    return True, dict(
+        _canonical_group(*c, start=s, unlabelled=True) for c, s in accepted.items()
+    )
 
 
-def _sweep(g: int, n: int, threads: int = 1) -> list[list]:
+def _sweep(g: int, n: int, threads: int = 1) -> tuple[list[list], dict]:
     """The canonical orbit keys of (g, n), level by level, each level sorted
-    by encoding; see enumerate_orbits.
+    by encoding, and their nontrivial groups; see enumerate_orbits.
 
     Raises InternalConsistencyError for the first key, in that order, that
     has fewer than 3g - 3 + n edges and no expansion.  This reads the
@@ -244,10 +251,11 @@ def _sweep(g: int, n: int, threads: int = 1) -> list[list]:
     """
     top = max_edges(g, n)
     level_keys = [[((g,), (), (0,) * n)]]
+    groups = {}
     for edges in range(top):
         # threads reaches perfbench/tracer.py, whose self-test counts pooled calls
         batches = parallel_map(_expand_to_keys, level_keys[-1], threads=threads)
-        found = set()
+        found = {}
         for key, (expandable, batch) in zip(level_keys[-1], batches):
             if not expandable:
                 raise InternalConsistencyError(
@@ -255,9 +263,10 @@ def _sweep(g: int, n: int, threads: int = 1) -> list[list]:
                     f"{key} has {edges} edges, expected {top}"
                 )
             found.update(batch)
+        groups.update((key, group) for key, group in found.items() if group)
         # catalog order within a level follows the certificate encoding
         level_keys.append(sorted(found, key=repr))
-    return level_keys
+    return level_keys, groups
 
 
 def _is_type(markings) -> bool:
@@ -267,14 +276,15 @@ def _is_type(markings) -> bool:
     return len(set(markings)) <= 1
 
 
-def _labelled_types(key) -> set:
-    """The canonical keys of the labelled types in the orbit key: the key
-    itself when it is one (see _is_type), and otherwise the distinct
-    canonical forms of the assignments of its markings."""
+def _labelled_types(key, group=()) -> dict:
+    """The canonical keys of the labelled types in the orbit key, each with
+    its group: the key itself with the orbit's group when it is one (see
+    _is_type), and otherwise the distinct canonical forms of the
+    assignments of its markings."""
     weights, edges, markings = key
     if _is_type(markings):
-        return {key}
-    return {_canonical_raw(weights, edges, a)[0] for a in set(permutations(markings))}
+        return {key: group}
+    return dict(_canonical_group(weights, edges, a) for a in set(permutations(markings)))
 
 
 def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
@@ -282,36 +292,43 @@ def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
 
     The levels of enumerate_orbits, each orbit replaced by its labelled
     types (see _labelled_types) and each level sorted by encoding.  For
-    n <= 1 every orbit is its type, so the orbit levels are the catalog's.
-    A purity error names an orbit key (see _sweep).
+    n <= 1 every orbit is its type, so the orbit levels and groups are the
+    catalog's.  A purity error names an orbit key (see _sweep).
     """
     require_stable_range(g, n)
-    levels = _sweep(g, n, threads)
+    levels, groups = _sweep(g, n, threads)
     if n > 1:
-        levels = [
-            sorted([t for key in level for t in _labelled_types(key)], key=repr)
+        typed = [
+            {t: s for key in level for t, s in _labelled_types(key, groups.get(key, ())).items()}
             for level in levels
         ]
+        groups = {t: s for level in typed for t, s in level.items() if s}
+        levels = [sorted(level, key=repr) for level in typed]
+    return _catalog(g, n, levels, groups)
+
+
+def _catalog(g: int, n: int, levels, groups) -> TypeCatalog:
     keys = tuple(key for level in levels for key in level)
-    f_vector = tuple(len(level) for level in levels)
-    return TypeCatalog(g=g, n=n, keys=keys, f_vector=f_vector)
+    return TypeCatalog(g, n, keys, tuple(map(len, levels)), groups)
 
 
-def enumerate_orbits(g: int, n: int) -> tuple[tuple, ...]:
-    """The S_n-orbits of the stable (g, n) types, in catalog order.
+def enumerate_orbits(g: int, n: int) -> TypeCatalog:
+    """The S_n-orbits of the stable (g, n) types, in catalog order, as a
+    catalog whose f-vector counts orbits.
 
     An orbit is a type with unlabelled markings: the triple (weights, edges,
     markings) whose markings are the sorted tuple of the vertices that carry
-    them, canonical under _canonical_raw with unlabelled.  For n <= 1 each
-    orbit is one type, with that type's key.
+    them, canonical under _canonical_raw with unlabelled.  Its group holds
+    the automorphisms of that triple, which may move marked vertices.  For
+    n <= 1 each orbit is one type, with that type's key and group.
     """
     require_stable_range(g, n)
-    return tuple(key for level in _sweep(g, n) for key in level)
+    return _catalog(g, n, *_sweep(g, n))
 
 
-def _orbit_size(key) -> tuple[list[list[int]], int]:
-    """The vertex automorphisms of an orbit key that fix every marked
-    vertex, and the number of labelled types in the orbit.
+def _orbit_size(key, group) -> tuple[list, int]:
+    """The vertex automorphisms in an orbit key's group that fix every
+    marked vertex, and the number of labelled types in the orbit.
 
     The vertex automorphisms of the key act on the assignments of the
     markings to the vertices through the permutations they induce on the
@@ -322,7 +339,7 @@ def _orbit_size(key) -> tuple[list[list[int]], int]:
     division with a remainder raises InternalConsistencyError."""
     weights, edges, markings = key
     marked = sorted(set(markings))
-    sigmas = _vertex_automorphisms(weights, edges, markings, unlabelled=True)
+    sigmas = group or [range(len(weights))]
     fixing = [sigma for sigma in sigmas if [sigma[v] for v in marked] == marked]
     size, rest = divmod(
         factorial(len(markings)) * len(fixing),
@@ -340,9 +357,11 @@ def count_types(g: int, n: int) -> tuple[int, ...]:
     """Counts of stable types by edge number (the f-vector), summed over the
     S_n-orbits of enumerate_orbits without labelling any: each orbit adds
     its size (see _orbit_size) to its edge count.  An orbit that is one type
-    (see _is_type) adds 1, and no automorphism is searched.  A purity error
-    names an orbit key."""
-    counts = [0] * (max_edges(g, n) + 1)
-    for key in enumerate_orbits(g, n):
-        counts[len(key[1])] += 1 if _is_type(key[2]) else _orbit_size(key)[1]
+    (see _is_type) adds 1.  A purity error names an orbit key."""
+    orbits = enumerate_orbits(g, n)
+    counts = [0] * len(orbits.f_vector)
+    for key in orbits.keys:
+        counts[len(key[1])] += (
+            1 if _is_type(key[2]) else _orbit_size(key, orbits.groups.get(key, ()))[1]
+        )
     return tuple(counts)

@@ -20,7 +20,8 @@ The two nontrivial algorithms live here:
   group, counted from the same search without listing its elements: the
   vertex automorphisms are the relabelings between its minimal leaves, and
   each class of k parallel edges adds a factor k! and, for k >= 2, a
-  transposition.
+  transposition.  _canonical_group returns a key with its vertex
+  automorphisms from that one search, so a catalog can keep them.
 
 Loops deserve care throughout: a loop counts twice toward valence, a loop
 flip is an automorphism whose induced edge permutation is the identity, and
@@ -404,21 +405,21 @@ def _minimal_leaves(weights, edges, markings, start=None, unlabelled=False):
 
     start holds the start colors when the caller has them already; they are
     ranked once.  When they are pairwise distinct, refinement cannot reorder
-    them, so their dense ranks are the only leaf, and the key is None: a
-    caller that reads the key encodes that leaf.  Otherwise the search
+    them, so their dense ranks are the only leaf.  Otherwise the search
     starts from the same ranks: refinement plus individualization of every
     vertex of the first non-singleton class, at every node.  Automorphisms
     permute the leaves, and two minimal leaves differ by exactly one
     automorphism; so the leaves give the whole group only while the tree
     stays unpruned.  A pruned search must collect automorphism generators
-    instead.
+    instead.  _canonical_raw reads the first leaf; _canonical_group, which
+    the enumeration calls, and _vertex_automorphisms read all of them.
     """
     if start is None:
         start = _start_colors(weights, edges, markings, unlabelled)
     nv = len(weights)
     colors, count = _dense_ranks(start)
     if count == nv:
-        return None, [colors]
+        return _encode_raw(weights, edges, markings, colors, unlabelled), [colors]
     adj = _adjacency(nv, edges)
     best = None
     leaves: list = []
@@ -453,9 +454,19 @@ def _canonical_raw(weights, edges, markings, start=None, unlabelled=False):
     vertex -> canonical vertex) of one leaf realizing it; start and
     unlabelled as in _minimal_leaves."""
     key, leaves = _minimal_leaves(weights, edges, markings, start, unlabelled)
-    if key is None:  # distinct start colors: the one leaf is not encoded yet
-        key = _encode_raw(weights, edges, markings, leaves[0], unlabelled)
     return key, tuple(leaves[0])
+
+
+def _canonical_group(weights, edges, markings, start=None, unlabelled=False):
+    """The key of _canonical_raw and, from the same search, the vertex
+    automorphisms of the key, as tuples of vertex images: the relabelings
+    leaf_i o leaf_0^-1 between the minimal leaves, the identity first; ()
+    when the identity is the only one (start and unlabelled as there)."""
+    key, leaves = _minimal_leaves(weights, edges, markings, start, unlabelled)
+    if len(leaves) == 1:
+        return key, ()
+    back = _positions(leaves[0])
+    return key, tuple(tuple(leaf[v] for v in back) for leaf in leaves)
 
 
 def _vertex_automorphisms(weights, edges, markings, unlabelled=False) -> list[list[int]]:
@@ -478,7 +489,8 @@ def _edge_group_raw(weights, edges, markings) -> EdgeAutomorphismGroup:
 
 def _edge_group(edges, sigmas) -> EdgeAutomorphismGroup:
     """Order and parity of the edge permutations induced by a group of
-    vertex automorphisms sigmas, each once, the identity first.
+    vertex automorphisms sigmas, each once, the identity first; () stands
+    for the identity alone.
 
     The group is counted, not listed.  Each sigma permutes the
     parallel-edge classes (the edges with one endpoint pair), and every

@@ -391,7 +391,8 @@ def reduced_homology(
     """Exact reduced rational Betti numbers of the link of (g, n)."""
     if g == 0:
         return homology_of_chain(_tree_chain_complex(n, max_generators))
-    link = OrbitCatalog(g, n, enumerate_orbits(g, n))
+    c = enumerate_orbits(g, n)
+    link = OrbitCatalog(c.g, c.n, c.keys, c.f_vector, c.groups)
     chain = chain_complex_within_bounds(link, max_generators=max_generators)
     return homology_of_chain(chain)
 
@@ -516,8 +517,18 @@ def _simplicial_boundaries(cells) -> tuple[tuple[Column, ...], ...]:
 def _tree_chain_complex(n: int, max_generators: int | None) -> ChainComplex:
     """The chain complex of the genus-0 link from splits (see the module
     docstring), after the generator cap reads the chain ranks off
-    _tree_counts and before any split is listed; audited for d(d(x)) = 0."""
+    _tree_counts and before any split is listed; audited for d(d(x)) = 0.
+    First the cap reads the 2**(n-1) - n - 1 splits, the cells of degree 0,
+    since _tree_counts is quadratic in n; they grow with n, so n is clamped
+    where they pass any cap."""
     require_stable_range(0, n)
+    if max_generators is not None:
+        m = min(n, max_generators.bit_length() + 4)
+        if (1 << (m - 1)) - m - 1 > max_generators:
+            raise ResourceBoundExceeded(
+                f"(g, n) = (0, {n}) needs at least 2**{n - 1} - {n + 1} generators, "
+                f"the splits alone, over the cap of {max_generators}"
+            )
     ranks = _tree_counts(n)[1:]
     _refuse_over_cap(0, n, ranks, max_generators)
     cells = _split_cliques(n)

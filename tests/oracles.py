@@ -14,6 +14,9 @@ One reference route does use the package's graphs: boundary columns computed
 cell by cell, as the package once assembled them (contract an edge,
 canonicalize the result with a certificate, take the sign of its edge
 relabeling), to check the contraction table that replaced that route.
+Face poset covers are computed the same way, every edge of every type
+contracted and canonicalized on its own, to check the covers that contract
+one edge per orbit of a type's automorphisms.
 
 One more uses the package's canonical labeling: the trace of a permutation
 of the markings on the chain line of a surviving cell, read from the
@@ -267,6 +270,19 @@ def reference_boundary_columns(link):
     return (
         tuple(tuple(gens) for gens in generators),
         tuple(tuple(column_for(i) for i in gens) for gens in generators),
+    )
+
+
+def reference_covers(poset):
+    """The (parent, child, edge) covers of a face poset, each edge of each
+    type contracted and canonicalized on its own, in the poset's order."""
+    from tropmoduli.graphs import WeightedMarkedGraph
+
+    index = {key: i for i, key in enumerate(poset.keys)}
+    return tuple(
+        (i, index[WeightedMarkedGraph(*key).contract(e).canonical_key()], e)
+        for i, key in enumerate(poset.keys)
+        for e in range(len(key[1]))
     )
 
 

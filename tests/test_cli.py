@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tropmoduli import INF, WeightedMarkedGraph, build_poset, cli, complexes, plane
+from tropmoduli import INF, WeightedMarkedGraph, build_poset, cli, complexes, graphs, plane
 from tropmoduli.cli import dispatch
 from tropmoduli.errors import ResourceBoundExceeded
 from tropmoduli.rationals import format_rational
@@ -875,6 +875,58 @@ class TestGoldenOutput:
             capsys, "complex", "--genus", "2", "--markings", "3", "--format", fmt
         )
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestHugeMarkings:
+    """A marking count that no tuple can hold is refused in one line, before
+    any list of markings is built."""
+
+    @pytest.mark.parametrize(
+        "command,fmt",
+        [("enumerate", "csv"), ("enumerate", "json"), ("complex", "json"),
+         ("complex", "dot"), ("homology", "json")],
+    )
+    def test_refused_in_one_line(self, capsys, command, fmt):
+        code, out, err = run(
+            capsys, command, "--genus", "1", "--markings", str(10**20), "--format", fmt
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: (g, n) = (1, {10**20}): more than {sys.maxsize} markings "
+            "do not fit in memory\n"
+        )
+
+    def test_genus_zero_cap_refuses_three_thousand_markings_at_once(self, capsys):
+        code, out, err = run(capsys, "homology", "--genus", "0", "--markings", "3000")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: (g, n) = (0, 3000) needs at least 2**2999 - 3001 generators, "
+            "the splits alone, over the cap of 20000\n"
+        )
+
+
+class TestAutomorphismsOncePerType:
+    def test_commands_search_no_automorphism_again(self, capsys, monkeypatch):
+        # each catalog keeps the groups its own search found, so neither the
+        # edge groups of complex JSON nor the orbit sizes search again
+        def refused(*args, **kwargs):
+            raise AssertionError("the catalog keeps every group")
+
+        monkeypatch.setattr(graphs, "_vertex_automorphisms", refused)
+        code, out, err = run(capsys, "complex", "--genus", "4", "--markings", "1")
+        assert code == 0, err
+        cells = json.loads(out)["cells"]
+        assert (len(cells), max(c["edge_group_order"] for c in cells)) == (2665, 120)
+        code, out, err = run(capsys, "homology", "--genus", "2", "--markings", "4")
+        assert code == 0, err
+        assert json.loads(out)["betti"] == [0, 0, 0, 0, 0, 1, 3]
+        code, out, err = run(
+            capsys, "enumerate", "--genus", "2", "--markings", "4", "--format", "csv"
+        )
+        assert code == 0, err
+        assert sum(int(line.split(",")[1]) for line in out.splitlines()[1:]) == 5608
 
 
 class TestDeterminism:

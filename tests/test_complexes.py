@@ -15,6 +15,8 @@ from tropmoduli import complexes, enumeration
 from tropmoduli.complexes import hasse_dot, is_odd
 from tropmoduli.graphs import _canonical_raw, _start_colors
 
+from oracles import reference_covers
+
 
 class TestFacePoset:
     def test_poset_is_the_enumerated_catalog(self):
@@ -74,10 +76,18 @@ class TestFacePoset:
                     changed = True
         assert reachable == set(range(len(poset.strata)))
 
-    def test_covers_canonicalize_each_distinct_contraction_once(self, monkeypatch):
-        # (2, 4): the 27,575 (type, edge) contractions give 15,836 distinct
-        # triples within an edge count, which with the enumeration's 6,786
-        # make the 22,622 labelings of a traced full table
+    @pytest.mark.parametrize(
+        "g,n,covers,contracted,canonicalized",
+        [(2, 4, 27_575, 24_239, 15_620), (4, 1, 17_835, 13_428, 10_674)],
+    )
+    def test_covers_canonicalize_each_distinct_contraction_once(
+        self, monkeypatch, g, n, covers, contracted, canonicalized
+    ):
+        # one edge per orbit of the parent's group on its endpoint pairs is
+        # contracted, and each distinct contracted triple within an edge
+        # count is canonicalized once: (2, 4) contracted every edge and
+        # canonicalized 15,836 triples, and (4, 1) 11,738, when the edges of
+        # one orbit were contracted one by one
         calls = {"_contract_raw": 0, "_canonical_raw": 0}
         for name in calls:
             original = getattr(complexes, name)
@@ -87,8 +97,18 @@ class TestFacePoset:
                 return original(*args)
 
             monkeypatch.setattr(complexes, name, wrapper)
-        assert len(build_poset(2, 4).covers) == 27_575
-        assert calls == {"_contract_raw": 27_575, "_canonical_raw": 15_836}
+        assert len(build_poset(g, n).covers) == covers
+        assert calls == {"_contract_raw": contracted, "_canonical_raw": canonicalized}
+
+    @pytest.mark.parametrize(
+        "g,n,nontrivial", [(4, 1, 766), (2, 3, 31), (3, 2, 209), (1, 4, 0), (0, 6, 0)]
+    )
+    def test_orbit_covers_equal_the_per_edge_covers(self, g, n, nontrivial):
+        # (1, 4) and (0, 6) have no type with a nontrivial group, so each
+        # edge pair is an orbit of its own
+        poset = build_poset(g, n)
+        assert len(poset.groups) == nontrivial
+        assert poset.covers == reference_covers(poset)
 
 
 class TestLinkComplex:
@@ -166,7 +186,7 @@ class TestDimension:
         # markings on two vertices: the orbit key is not a labelled type, and
         # its markings read as the sorted tuple of the vertices carrying them
         victim = next(
-            key for key in enumeration.enumerate_orbits(1, 3) if len(set(key[2])) == 2
+            key for key in enumeration.enumerate_orbits(1, 3).keys if len(set(key[2])) == 2
         )
         assert victim == ((0, 1), ((0, 1),), (0, 0, 1))
         victim_colors = _start_colors(*victim, unlabelled=True)

@@ -15,7 +15,12 @@ from tropmoduli import (
 from tropmoduli import enumeration, homology
 from tropmoduli.complexes import is_odd
 from tropmoduli.errors import InternalConsistencyError
-from tropmoduli.graphs import _canonical_raw, _start_colors
+from tropmoduli.graphs import (
+    _canonical_group,
+    _canonical_raw,
+    _start_colors,
+    _vertex_automorphisms,
+)
 
 from oracles import (
     _reference_expand_raw,
@@ -156,6 +161,12 @@ def _levels(catalog):
     return levels
 
 
+def _identity_only(*args, **kwargs):
+    """graphs._canonical_group with every group cut to its identity."""
+    key, group = _canonical_group(*args, **kwargs)
+    return key, group[:1]
+
+
 class TestCanonicalAugmentation:
     @pytest.mark.parametrize(
         "g,n",
@@ -196,7 +207,7 @@ class TestExpansionPerParent:
     def test_flag_and_accepted_keys_match_reference(self, g, n):
         # the reference moves each subset of a vertex's markings, where the
         # sweep moves a number of them, so several candidates give one child
-        for key in enumeration.enumerate_orbits(g, n):
+        for key in enumeration.enumerate_orbits(g, n).keys:
             expandable, keys = enumeration._expand_to_keys(key)
             candidates = [
                 (weights, edges, tuple(sorted(markings)))
@@ -219,13 +230,14 @@ class TestExpansionPerParent:
     )
     def test_canonicalizations_are_exact(self, monkeypatch, g, n, swept, labelled):
         # the sweep labels each distinct accepted candidate once, with its
-        # start colors; a duplicate or a candidate that leaks past the
-        # acceptance test changes the count.  Labelling the orbits then
-        # canonicalizes each assignment of the markings of an orbit that is
-        # not one type; for n <= 1 every orbit is one, so (4, 1) does the
-        # work of the labelled sweep it replaced, 3,969 labelings.
+        # start colors, and keeps the group from the same search; a
+        # duplicate or a candidate that leaks past the acceptance test
+        # changes the count.  Labelling the orbits then canonicalizes each
+        # assignment of the markings of an orbit that is not one type; for
+        # n <= 1 every orbit is one, so (4, 1) does the work of the labelled
+        # sweep it replaced, 3,969 labelings.
         count = {"swept": 0, "labelled": 0}
-        canonical = enumeration._canonical_raw
+        canonical = enumeration._canonical_group
 
         def counted(weights, edges, markings, start=None, unlabelled=False):
             if start is None:
@@ -237,7 +249,7 @@ class TestExpansionPerParent:
                 assert start == _start_colors(weights, edges, markings, unlabelled=True)
             return canonical(weights, edges, markings, start, unlabelled)
 
-        monkeypatch.setattr(enumeration, "_canonical_raw", counted)
+        monkeypatch.setattr(enumeration, "_canonical_group", counted)
         enumerate_types(g, n)
         assert count == {"swept": swept, "labelled": labelled}
 
@@ -292,12 +304,13 @@ class TestOrbitKeys:
         + [(4, 1), (5, 0), pytest.param(5, 1, marks=pytest.mark.slow)],
     )
     def test_one_marking_orbits_are_the_catalog(self, g, n):
-        assert enumeration.enumerate_orbits(g, n) == enumerate_types(g, n).keys
+        orbits, catalog = enumeration.enumerate_orbits(g, n), enumerate_types(g, n)
+        assert (orbits.keys, orbits.groups) == (catalog.keys, catalog.groups)
 
     @pytest.mark.parametrize("g,n", [(1, 4), (2, 3), (3, 2), (0, 7)])
     def test_orbits_are_the_unlabelled_forms_of_the_reference_types(self, g, n):
         # complete and duplicate-free, against the unfiltered labelled sweep
-        orbits = enumeration.enumerate_orbits(g, n)
+        orbits = enumeration.enumerate_orbits(g, n).keys
         unlabelled = {
             _canonical_raw(*key, unlabelled=True)[0]
             for level in reference_enumerate_keys(g, n)
@@ -308,14 +321,49 @@ class TestOrbitKeys:
 
     @pytest.mark.parametrize("g,n", [(2, 4), (3, 2), (0, 7)])
     def test_one_marked_vertex_orbit_is_its_labelled_type(self, g, n):
-        keys = [
-            key for key in enumeration.enumerate_orbits(g, n)
-            if enumeration._is_type(key[2])
-        ]
+        orbits = enumeration.enumerate_orbits(g, n)
+        keys = [key for key in orbits.keys if enumeration._is_type(key[2])]
         assert keys
         for key in keys:
-            assert enumeration._orbit_size(key)[1] == 1
+            assert enumeration._orbit_size(key, orbits.groups.get(key, ()))[1] == 1
             assert _canonical_raw(*key)[0] == key
+
+
+_GROUP_CASES = [
+    (g, n) for g in range(3) for n in range(8) if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 4
+] + [(2, 4), (3, 2), (4, 1), (5, 0)]
+
+
+def _assert_groups_are_searches(catalog, unlabelled):
+    # the stored group is the key's whole automorphism group, each element
+    # once and the identity first, and only nontrivial groups are stored
+    assert set(catalog.groups) <= set(catalog.keys)
+    for key in catalog.keys:
+        searched = {
+            tuple(sigma)
+            for sigma in _vertex_automorphisms(*key, unlabelled=unlabelled)
+        }
+        group = catalog.groups.get(key)
+        if group is None:
+            assert searched == {tuple(range(len(key[0])))}, key
+            continue
+        assert len(group) > 1, key
+        assert group[0] == tuple(range(len(key[0]))), key
+        assert len(set(group)) == len(group) and set(group) == searched, key
+
+
+class TestGroups:
+    """Each catalog key keeps the vertex automorphisms found by the search
+    that labelled it: the sweep's for an orbit key, the labelling's for a
+    labelled type."""
+
+    @pytest.mark.parametrize("g,n", _GROUP_CASES)
+    def test_orbit_groups_equal_the_unlabelled_search(self, g, n):
+        _assert_groups_are_searches(enumeration.enumerate_orbits(g, n), True)
+
+    @pytest.mark.parametrize("g,n", _GROUP_CASES)
+    def test_type_groups_equal_the_labelled_search(self, g, n):
+        _assert_groups_are_searches(enumerate_types(g, n), False)
 
 
 class TestOrbitCount:
@@ -352,29 +400,23 @@ class TestOrbitCount:
         # without the automorphisms that move a marked vertex, every orbit
         # of a genus-1 cycle with a reflection claims twice its types
         expected = enumerate_types(1, 4).f_vector
-        listed = enumeration._vertex_automorphisms
-        monkeypatch.setattr(
-            enumeration, "_vertex_automorphisms", lambda *key, **kw: listed(*key, **kw)[:1]
-        )
+        monkeypatch.setattr(enumeration, "_canonical_group", _identity_only)
         try:
             counts = count_types(1, 4)
         except InternalConsistencyError:
             return
         assert counts != expected
 
-    def test_orbit_size_with_a_remainder_raises(self, monkeypatch):
+    def test_orbit_size_with_a_remainder_raises(self):
         # three markings on vertex 0 and a swap that moves it: 3! / (2 * 3!)
-        monkeypatch.setattr(
-            enumeration, "_vertex_automorphisms", lambda *key, **kw: [[0, 1], [1, 0]]
-        )
         with pytest.raises(InternalConsistencyError, match="no whole orbit size"):
-            enumeration._orbit_size(((0, 1), ((0, 1),), (0, 0, 0)))
+            enumeration._orbit_size(((0, 1), ((0, 1),), (0, 0, 0)), ((0, 1), (1, 0)))
 
     def test_one_marking_searches_no_automorphism(self, monkeypatch):
         def refused(*args):
             raise AssertionError("for n <= 1 each orbit is one type")
 
-        monkeypatch.setattr(enumeration, "_vertex_automorphisms", refused)
+        monkeypatch.setattr(enumeration, "_orbit_size", refused)
         assert count_types(4, 1) == (1, 4, 17, 57, 161, 344, 565, 657, 534, 259, 67)
         assert count_types(2, 0) == (1, 2, 2, 2)
 

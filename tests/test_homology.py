@@ -317,11 +317,12 @@ class TestGeneratorPass:
         # edges in all; 358 of their contractions have no repeated edge and
         # are distinct within an edge count; the enumeration canonicalizes
         # 832 candidates in its orbit sweep and 6,586 assignments of the
-        # markings as it labels the orbits; an orbit that is one type is its
-        # own key and needs none.  Contracting all 2,915 generators would make
-        # 13,773 contractions and 7,513 labelings, and the full table 27,575
-        # contractions and 22,622 labelings.
-        calls = {"_contract_raw": 0, "_canonical_raw": 0}
+        # markings as it labels the orbits, each with its group; an orbit
+        # that is one type is its own key and needs none.  Contracting all
+        # 2,915 generators would make 13,773 contractions and 7,513
+        # labelings, and the full table 27,575 contractions and 22,622
+        # labelings.
+        calls = {"_contract_raw": 0, "_canonical_raw": 0, "_canonical_group": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -334,13 +335,14 @@ class TestGeneratorPass:
 
         counted(homology, "_contract_raw")
         counted(homology, "_canonical_raw")
-        counted(enumeration, "_canonical_raw")
+        counted(enumeration, "_canonical_group")
         link = build_poset(2, 4)
         build_chain_complex(link)
         basis_edges, distinct_contractions, enumerated = 1_109, 358, 832 + 6_586
         assert calls == {
             "_contract_raw": basis_edges,
-            "_canonical_raw": enumerated + distinct_contractions,
+            "_canonical_raw": distinct_contractions,
+            "_canonical_group": enumerated,
         }
         assert not {"strata", "cells", "covers"} & set(vars(link))
 
@@ -575,10 +577,12 @@ class TestTreeRoute:
 
     def test_cli_refuses_fifteen_hundred_markings_in_one_line(self):
         # the total has more than 4,300 digits, Python's default limit for
-        # converting an int to text
+        # converting an int to text; the cap lets the 2**1499 - 1501 splits
+        # pass, so the tree counts run and the refusal reads them
+        cap = 2**1500
         result = subprocess.run(
             [sys.executable, "-m", "tropmoduli.cli", "homology",
-             "--genus", "0", "--markings", "1500"],
+             "--genus", "0", "--markings", "1500", "--max-generators", str(cap)],
             capture_output=True,
             text=True,
             timeout=60,
@@ -587,19 +591,53 @@ class TestTreeRoute:
         assert result.stdout == ""
         assert result.stderr == (
             "error: (g, n) = (0, 1500) needs a 4726-digit number of generators, "
-            "over the cap of 20000; 1497 chain ranks by degree, too long to list\n"
+            f"over the cap of {cap}; 1497 chain ranks by degree, too long to list\n"
         )
 
     def test_refusal_keeps_the_exact_ranks(self):
+        # a cap that the 2**39 - 41 splits stay under, so the tree counts run
         with pytest.raises(ResourceBoundExceeded) as err:
-            reduced_homology(0, 40)
+            reduced_homology(0, 40, max_generators=2**40)
         ranks = homology._tree_counts(40)[1:]
         assert err.value.chain_ranks == ranks
         assert str(err.value) == (
             f"(g, n) = (0, 40) needs a {len(str(sum(ranks)))}-digit number of "
-            "generators, over the cap of 20000; 37 chain ranks by degree, too "
+            f"generators, over the cap of {2**40}; 37 chain ranks by degree, too "
             "long to list"
         )
+
+    @pytest.mark.parametrize("n", [16, 40, 3000])
+    def test_cap_refuses_on_the_splits_before_the_tree_counts(self, monkeypatch, n):
+        # (0, 15) has 16,368 splits and (0, 16) 32,751, over the default cap
+        def refused(n):
+            raise AssertionError("the splits alone are over the cap")
+
+        monkeypatch.setattr(homology, "_tree_counts", refused)
+        with pytest.raises(ResourceBoundExceeded) as err:
+            reduced_homology(0, n)
+        assert err.value.chain_ranks is None
+        assert str(err.value) == (
+            f"(g, n) = (0, {n}) needs at least 2**{n - 1} - {n + 1} generators, "
+            "the splits alone, over the cap of 20000"
+        )
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4, 118, 119, 20_000, 2**40])
+    def test_splits_bound_refuses_exactly_where_the_splits_pass_the_cap(
+        self, monkeypatch, cap
+    ):
+        # n is clamped before the splits are counted; the clamp must not
+        # change which n are refused
+        class Reached(Exception):
+            pass
+
+        def reached(n):
+            raise Reached
+
+        monkeypatch.setattr(homology, "_tree_counts", reached)
+        for n in range(3, 64):
+            refused = 2 ** (n - 1) - n - 1 > cap
+            with pytest.raises(ResourceBoundExceeded if refused else Reached):
+                homology._tree_chain_complex(n, cap)
 
     def test_digit_count_without_text(self):
         rng = random.Random(7)
@@ -645,8 +683,9 @@ class TestOrbitRoute:
     def test_orbit_sizes_sum_to_the_f_vector(self, g, n):
         catalog = enumerate_types(g, n)
         levels = [[] for _ in catalog.f_vector]
-        for key in enumeration.enumerate_orbits(g, n):
-            size, _ = complexes._orbit(key)
+        orbits = enumeration.enumerate_orbits(g, n)
+        for key in orbits.keys:
+            size, _ = complexes._orbit(key, orbits.groups.get(key, ()))
             levels[len(key[1])].append((key, size))
         assert tuple(sum(size for _, size in level) for level in levels) == catalog.f_vector
         # labelling every orbit gives the catalog, level by level
@@ -656,10 +695,13 @@ class TestOrbitRoute:
     def test_labelling_audits_the_orbit_size(self, monkeypatch):
         # without the automorphisms that move a marked vertex, every orbit
         # of a genus-1 cycle with a reflection claims twice its cells
-        listed = enumeration._vertex_automorphisms
-        monkeypatch.setattr(
-            enumeration, "_vertex_automorphisms", lambda *key, **kw: listed(*key, **kw)[:1]
-        )
+        canonical = enumeration._canonical_group
+
+        def identity_only(*args, **kwargs):
+            key, group = canonical(*args, **kwargs)
+            return key, group[:1]
+
+        monkeypatch.setattr(enumeration, "_canonical_group", identity_only)
         with pytest.raises(InternalConsistencyError, match="labels into"):
             reduced_homology(1, 4)
 

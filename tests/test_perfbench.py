@@ -14,19 +14,33 @@ of its one sweep, and still maps each orbit level through parallel_map with
 the thread budget; `enumerate --format csv` counts orbits and passes no
 thread budget (test_enumerate_json_keeps_the_pooled_calls).  The tracer
 counts graphs.canonical_raw by rebinding that name in every tropmoduli
-module, so the sweep must call it through the module-level name
-(test_traced_counts_match_an_in_process_count).
+module, so a caller must reach it through a module-level name
+(test_traced_counts_match_an_in_process_count); the enumeration calls
+graphs._canonical_group instead, which the tracer does not count.  Each
+workload of BENCHMARK.json runs under the tracer, from outside perfbench/,
+and prints what the CLI prints (test_tracer_runs_each_benchmark_workload).
 """
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tropmoduli import cli, complexes, enumeration, graphs, homology, reduced_homology
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _benchmark_commands():
+    """The CLI arguments of each workload that BENCHMARK.json declares, as
+    perfbench/run.py defines them."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "run.py"))["WORKLOADS"]
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    return {name: workloads[name].args for name in names}
 
 
 def test_perfbench_selftest_passes():
@@ -123,3 +137,31 @@ def test_traced_counts_match_an_in_process_count(monkeypatch, capsys, tmp_path):
         calls,
         catalog.count,
     )
+
+
+_COMMANDS = _benchmark_commands()
+
+
+@pytest.mark.parametrize("args", list(_COMMANDS.values()), ids=list(_COMMANDS))
+def test_tracer_runs_each_benchmark_workload(tmp_path, args):
+    # the tracer wraps link_cells, has_expansion, the graph methods and the
+    # cells by name, so a traced run breaks when one of them changes; it
+    # runs from outside perfbench/ and must print what the CLI prints
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(tmp_path / "trace.json"), *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    plain = subprocess.run(
+        [sys.executable, "-m", "tropmoduli.cli", *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert (traced.returncode, plain.returncode) == (0, 0), traced.stderr + plain.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads((tmp_path / "trace.json").read_text())["exit"] == 0
