@@ -165,8 +165,8 @@ class FacePoset(TypeCatalog):
 def build_poset(g: int, n: int) -> FacePoset:
     """Face poset of the moduli cone complex for (g, n); covers, graphs and
     cells are built on first read."""
-    c = enumerate_types(g, n)
-    return FacePoset(c.g, c.n, c.keys, c.f_vector, c.groups)
+    catalog = enumerate_types(g, n)
+    return FacePoset(g, n, catalog.keys, catalog.f_vector, catalog.groups)
 
 
 def link_cells(g: int, n: int) -> FacePoset:

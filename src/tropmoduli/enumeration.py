@@ -278,9 +278,10 @@ def _is_type(markings) -> bool:
 
 def _labelled_types(key, group=()) -> dict:
     """The canonical keys of the labelled types in the orbit key, each with
-    its group: the key itself with the orbit's group when it is one (see
-    _is_type), and otherwise the distinct canonical forms of the
-    assignments of its markings."""
+    its group: the key itself with group, the orbit's own, when it is one
+    (see _is_type), and otherwise the distinct canonical forms of the
+    assignments of its markings.  A caller that reads only the keys may
+    leave group out."""
     weights, edges, markings = key
     if _is_type(markings):
         return {key: group}
@@ -299,7 +300,11 @@ def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
     levels, groups = _sweep(g, n, threads)
     if n > 1:
         typed = [
-            {t: s for key in level for t, s in _labelled_types(key, groups.get(key, ())).items()}
+            {
+                t: s
+                for key in level
+                for t, s in _labelled_types(key, groups.get(key, ())).items()
+            }
             for level in levels
         ]
         groups = {t: s for level in typed for t, s in level.items() if s}

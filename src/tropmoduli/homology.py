@@ -83,10 +83,10 @@ oriented by that order: the face without position i has coefficient
 with +1.  Nothing is enumerated or labelled.  The matrices differ from
 build_chain_complex's by that change of orientation and order, so the chain
 ranks, Betti numbers and Euler characteristic are the same.  The generator
-cap reads the chain ranks from a closed form for the number of trees before
-any split is listed, the listed cells must match it, and the d(d(x)) = 0
-and Euler audits run as on the labelled route, which stays the genus-0
-oracle in the tests.
+cap reads the number of splits, then the chain ranks from a closed form for
+the number of trees, before any split is listed; the listed cells must
+match it, and the d(d(x)) = 0 and Euler audits run as on the labelled
+route, which stays the genus-0 oracle in the tests.
 
 All ranks are computed by exact integer elimination; no floating point
 arithmetic appears anywhere in this module.
@@ -391,8 +391,8 @@ def reduced_homology(
     """Exact reduced rational Betti numbers of the link of (g, n)."""
     if g == 0:
         return homology_of_chain(_tree_chain_complex(n, max_generators))
-    c = enumerate_orbits(g, n)
-    link = OrbitCatalog(c.g, c.n, c.keys, c.f_vector, c.groups)
+    orbits = enumerate_orbits(g, n)
+    link = OrbitCatalog(g, n, orbits.keys, orbits.f_vector, orbits.groups)
     chain = chain_complex_within_bounds(link, max_generators=max_generators)
     return homology_of_chain(chain)
 
