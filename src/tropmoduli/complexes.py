@@ -20,14 +20,14 @@ the enumeration sweep, so every catalog this module reads is already pure.
 
 An OrbitCatalog holds the S_n-orbits of the types instead, types with
 unlabelled markings.  It counts the surviving cells of each orbit from the
-automorphisms that the sweep kept for the orbit, and labels them only when
-they are read; homology reads it for g >= 1, where the basis is a small
-share of the cells.
+automorphisms that the sweep kept for the orbit, and labels only the orbits
+that pass a caller's test; homology reads it for g >= 1, where the basis is a
+small share of the cells.  The chain complex of a FacePoset, cell by labelled
+cell, is the tests' oracle (tests/oracles.reference_chain_complex).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,7 +46,6 @@ from .graphs import (
     _canonical_raw,
     _contract_raw,
     _edge_group,
-    _edge_group_raw,
 )
 
 
@@ -69,17 +68,6 @@ class Cone:
 
 def _repeated_edge(edges) -> bool:
     return len(set(edges)) < len(edges)
-
-
-def is_odd(weights, edges, markings) -> bool:
-    """Whether some automorphism of the type permutes its edges oddly.
-
-    Two parallel edges, or two loops at one vertex, swap to a transposition,
-    so only types without a repeated edge need their edge group.
-    """
-    return _repeated_edge(edges) or _edge_group_raw(
-        weights, edges, markings
-    ).has_odd_element
 
 
 class FacePoset(TypeCatalog):
@@ -140,26 +128,9 @@ class FacePoset(TypeCatalog):
                 covers.append((i, child, e))
         return tuple(covers)
 
-    def maximal_types(self) -> tuple[int, ...]:
-        contracted_from = {child for _, child, _ in self.covers}
-        return tuple(
-            i for i in range(len(self.keys)) if i not in contracted_from
-        )
-
     def dimension(self) -> int:
         """Dimension 3g - 4 + n of the link; the enumeration checked purity."""
         return len(self.f_vector) - 2
-
-    @cached_property
-    def generators(self) -> tuple[tuple[tuple, ...], ...]:
-        """Canonical triples of the cells without an odd edge automorphism
-        (the generators of the rational chains), by dimension, in catalog
-        order; computed once from the keys."""
-        generators: list[list[tuple]] = [[] for _ in range(self.dimension() + 1)]
-        for key in self.keys[1:]:
-            if not is_odd(*key):
-                generators[len(key[1]) - 1].append(key)
-        return tuple(map(tuple, generators))
 
 
 def build_poset(g: int, n: int) -> FacePoset:
@@ -213,14 +184,13 @@ def _label(orbits) -> tuple[tuple, ...]:
     return tuple(sorted(cells, key=repr))
 
 
-class OrbitCells(Sequence):
-    """The labelled cells of some S_n-orbits of one dimension, as canonical
-    triples in catalog order.
+class OrbitCells:
+    """The labelled cells of some S_n-orbits of one dimension.
 
     orbits holds (orbit key, size) pairs from _orbit.  The length is the sum
-    of the sizes, so it is read without labelling; the cells are labelled on
-    first read.  where(test) labels only the orbits whose key passes test, a
-    test that reads no markings.
+    of the sizes, so it is read without labelling.  where(test) labels only
+    the orbits whose key passes test, a test that reads no markings, into
+    their canonical triples in catalog order.
     """
 
     def __init__(self, orbits: tuple[tuple[tuple, int], ...]):
@@ -229,13 +199,6 @@ class OrbitCells(Sequence):
 
     def __len__(self) -> int:
         return self._len
-
-    def __getitem__(self, i):
-        return self._cells[i]
-
-    @cached_property
-    def _cells(self) -> tuple[tuple, ...]:
-        return _label(self.orbits)
 
     def where(self, test) -> tuple[tuple, ...]:
         return _label(tuple(orbit for orbit in self.orbits if test(*orbit[0])))
@@ -249,9 +212,9 @@ class OrbitCatalog(TypeCatalog):
 
     @cached_property
     def generators(self) -> tuple[OrbitCells, ...]:
-        """The surviving cells by dimension, like FacePoset.generators: one
-        OrbitCells per dimension, over the orbits without an odd edge
-        automorphism."""
+        """The surviving cells by dimension, those without an odd edge
+        automorphism: one OrbitCells per dimension, over the orbits whose
+        cells survive."""
         by_dimension: list[list] = [[] for _ in range(max_edges(self.g, self.n))]
         for key in self.keys[1:]:
             if _repeated_edge(key[1]):  # odd, with no automorphism search

@@ -16,9 +16,8 @@ Only the matrix basis is contracted, one degree at a time: a contraction
 with a repeated edge lands on a killed cell and is dropped before it is
 canonicalized, and each remaining distinct contraction of a degree is
 canonicalized once, which gives its target and its sign.  The parity of
-every cell is read from its canonical triple, or from its orbit's (below),
-so no graph, cone or face poset cover is built, and the generator cap
-refuses a job before any contraction.
+every cell is read from its orbit (below), so no graph, cone or face poset
+cover is built, and the generator cap refuses a job before any contraction.
 
 The matrices are those of the augmented chains of the link modulo those of
 link^lw, the cells with a loop or a vertex of positive weight, the cone point
@@ -64,11 +63,13 @@ automorphisms induce.  The generator cap reads those counts, and only the
 orbits in the basis are labelled, as enumerate_types labels its levels.
 An orbit that labels into any other number of cells than its count is an
 internal consistency error, which audits a.  The boundary columns and every
-audit are then those of the labelled catalog, which stays the oracle of the
-tests.  Chan, Galatius and Payne (arXiv 1903.07187) read the top-weight
-cohomology of M_{g,n} off this S_n-equivariant link, and Chan, Faber,
-Galatius and Payne (arXiv 1904.06367) compute its equivariant Euler
-characteristic from the same orbit data.
+audit are then those of the labelled catalog, whose chain complex the tests
+build cell by labelled cell as their oracle
+(tests/oracles.reference_chain_complex).  Chan, Galatius and Payne (arXiv
+1903.07187) read the top-weight cohomology of M_{g,n} off this
+S_n-equivariant link, and Chan, Faber, Galatius and Payne (arXiv
+1904.06367) compute its equivariant Euler characteristic from the same
+orbit data.
 
 Genus 0 takes a route of its own, from splits.  A stable genus-0 type is a
 tree whose leaves are the markings, and each of its edges is a split of the
@@ -81,12 +82,12 @@ and every cell survives.  A cell is the sorted tuple of its split indices,
 oriented by that order: the face without position i has coefficient
 (-1)**i, the simplicial orientation, and a vertex maps to the cone point
 with +1.  Nothing is enumerated or labelled.  The matrices differ from
-build_chain_complex's by that change of orientation and order, so the chain
-ranks, Betti numbers and Euler characteristic are the same.  The generator
-cap reads the number of splits, then the chain ranks from a closed form for
-the number of trees, before any split is listed; the listed cells must
-match it, and the d(d(x)) = 0 and Euler audits run as on the labelled
-route, which stays the genus-0 oracle in the tests.
+those of the labelled trees by that change of orientation and order, so the
+chain ranks, Betti numbers and Euler characteristic are the same, and the
+tests' labelled oracle checks them.  The generator cap reads the number of
+splits, then the chain ranks from a closed form for the number of trees,
+before any split is listed; the listed cells must match it, and the
+d(d(x)) = 0 and Euler audits run as on the orbit route.
 
 All ranks are computed by exact integer elimination; no floating point
 arithmetic appears anywhere in this module.
@@ -94,12 +95,12 @@ arithmetic appears anywhere in this module.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Sized
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .complexes import FacePoset, OrbitCatalog, OrbitCells, _repeated_edge
+from .complexes import OrbitCatalog, _repeated_edge
 from .enumeration import enumerate_orbits, max_edges, require_stable_range
 from .errors import InternalConsistencyError, ResourceBoundExceeded
 from .graphs import _canonical_raw, _contract_raw, _edge_relabeling, perm_sign
@@ -118,24 +119,25 @@ Column = tuple[tuple[int, int], ...]  # sorted (row, coefficient) pairs
 class ChainComplex:
     """Integer boundary matrices for the link's rational chain complex.
 
-    generators_by_degree[p] holds the canonical triples of the surviving
-    cells of dimension p, in catalog order; their number is the chain rank.
-    basis_by_degree[p] holds the triples that index the matrices: the
-    generators outside link^lw (see the module docstring).  boundaries[p]
-    holds one sparse column per basis cell of degree p, mapping into the
-    basis of degree p - 1; the basis of degree -1 is the cone point when it
-    passes the same test, and is empty otherwise.
+    generators_by_degree[p] holds the surviving cells of dimension p; their
+    number is the chain rank.  basis_by_degree[p] holds the canonical triples
+    that index the matrices, in catalog order: the surviving cells outside
+    link^lw (see the module docstring).  boundaries[p] holds one sparse
+    column per basis cell of degree p, mapping into the basis of degree
+    p - 1; the basis of degree -1 is the cone point when it passes the same
+    test, and is empty otherwise.
 
     On the orbit route of reduced_homology (g >= 1) each generators_by_degree
-    entry is an OrbitCells: its length is counted from the orbits, and it
-    labels its cells only when they are read.  On the genus-0 route both
-    lists hold the cells as sorted tuples of split indices instead, every
-    cell in the basis.
+    entry is an OrbitCells: its length is counted from the orbits, and only
+    the basis is labelled.  On the genus-0 route both lists hold the cells
+    as sorted tuples of split indices instead, every cell in the basis.  The
+    tests' labelled oracle, tests/oracles.reference_chain_complex, holds
+    canonical triples in catalog order in both.
     """
 
     g: int
     n: int
-    generators_by_degree: tuple[Sequence[tuple], ...]
+    generators_by_degree: tuple[Sized, ...]
     basis_by_degree: tuple[tuple[tuple, ...], ...]
     boundaries: tuple[tuple[Column, ...], ...]
 
@@ -192,13 +194,18 @@ class HomologyProfile:
         return {k: self.betti(2 * d - k - 1) for k in range(d, 2 * d + 1)}
 
 
-def build_chain_complex(link: FacePoset | OrbitCatalog) -> ChainComplex:
+def build_chain_complex(link: OrbitCatalog) -> ChainComplex:
     """Assemble boundary matrices over the basis, the cells outside link^lw
     in every degree from the cone point's up, and verify d(d(x)) = 0 in
-    every degree."""
+    every degree.  Orbit cells are tested by their orbits' unlabelled
+    triples, which have the weights and edges of their labelled cells, and
+    only the orbits that pass are labelled."""
     generators = link.generators
     cone = ((link.g,), (), (0,) * link.n)
-    basis = tuple(_basis(cells) for cells in ((cone,), *generators))
+    basis = (
+        (cone,) if _simple_weight_zero(*cone) else (),
+        *(cells.where(_simple_weight_zero) for cells in generators),
+    )
     complex_ = ChainComplex(
         g=link.g,
         n=link.n,
@@ -218,16 +225,6 @@ def _simple_weight_zero(weights, edges, markings) -> bool:
     It has no repeated edge, since parity has already killed every type with
     one.  For g = 0 every type passes, the cone point included."""
     return not any(weights) and all(u != v for u, v in edges)
-
-
-def _basis(cells) -> tuple[tuple, ...]:
-    """The cells that pass _simple_weight_zero, in order.  Orbit cells are
-    tested by their orbits' unlabelled triples, which have the weights and
-    edges of their labelled cells, and only the orbits that pass are
-    labelled."""
-    if isinstance(cells, OrbitCells):
-        return cells.where(_simple_weight_zero)
-    return tuple(key for key in cells if _simple_weight_zero(*key))
 
 
 def _boundary_columns(keys, rows: dict) -> tuple[Column, ...]:
@@ -398,7 +395,7 @@ def reduced_homology(
 
 
 def chain_complex_within_bounds(
-    link: FacePoset | OrbitCatalog,
+    link: OrbitCatalog,
     max_generators: int | None = DEFAULT_MAX_GENERATORS,
 ) -> ChainComplex:
     """Build the chain complex unless the generator cap would be exceeded;

@@ -18,6 +18,12 @@ Face poset covers are computed the same way, every edge of every type
 contracted and canonicalized on its own, to check the covers that contract
 one edge per orbit of a type's automorphisms.
 
+One reference keeps the labelled chain complex that the package built from
+a face poset before homology read S_n-orbits for g >= 1 and splits for
+g = 0: the surviving labelled cells by parity, the simple weight-0 basis,
+the package's contraction table and its d(d(x)) = 0 audit.  The orbit route
+must give its matrices, and both routes its chain ranks and Betti numbers.
+
 One more uses the package's canonical labeling: the trace of a permutation
 of the markings on the chain line of a surviving cell, read from the
 definition (move the markings, and compare the canonical key and the edge
@@ -271,6 +277,67 @@ def reference_boundary_columns(link):
         tuple(tuple(gens) for gens in generators),
         tuple(tuple(column_for(i) for i in gens) for gens in generators),
     )
+
+
+def is_odd(weights, edges, markings) -> bool:
+    """Whether some automorphism of the type permutes its edges oddly.
+
+    Two parallel edges, or two loops at one vertex, swap to a transposition,
+    so only types without a repeated edge need their edge group.
+    """
+    from tropmoduli.graphs import _edge_group_raw
+
+    return len(set(edges)) < len(edges) or _edge_group_raw(
+        weights, edges, markings
+    ).has_odd_element
+
+
+def labelled_generators(poset):
+    """Canonical triples of the cells without an odd edge automorphism
+    (the generators of the rational chains), by dimension, in catalog
+    order."""
+    generators = [[] for _ in range(poset.dimension() + 1)]
+    for key in poset.keys[1:]:
+        if not is_odd(*key):
+            generators[len(key[1]) - 1].append(key)
+    return tuple(map(tuple, generators))
+
+
+def maximal_types(poset):
+    """The types of a face poset that no cover contracts to, in order."""
+    contracted_from = {child for _, child, _ in poset.covers}
+    return tuple(i for i in range(len(poset.keys)) if i not in contracted_from)
+
+
+def reference_chain_complex(poset):
+    """The chain complex of a face poset's link, cell by labelled cell.
+
+    The generators are labelled_generators, and the basis of each degree,
+    the cone point's in degree -1 included, is those that pass the package's
+    homology._simple_weight_zero, looked up on every call so that a test can
+    replace it.  The columns come from the package's contraction table and
+    pass its d(d(x)) = 0 audit.
+    """
+    from tropmoduli import homology
+
+    in_basis = homology._simple_weight_zero
+    generators = labelled_generators(poset)
+    cone = ((poset.g,), (), (0,) * poset.n)
+    basis = tuple(
+        tuple(key for key in cells if in_basis(*key)) for cells in ((cone,), *generators)
+    )
+    chain = homology.ChainComplex(
+        g=poset.g,
+        n=poset.n,
+        generators_by_degree=generators,
+        basis_by_degree=basis[1:],
+        boundaries=tuple(
+            homology._boundary_columns(keys, {key: row for row, key in enumerate(below)})
+            for below, keys in zip(basis, basis[1:])
+        ),
+    )
+    homology._verify_square_zero(chain)
+    return chain
 
 
 def reference_covers(poset):

@@ -19,7 +19,6 @@ from tropmoduli import (
     StableModelDescription,
     TropicalPolynomial,
     WeightedMarkedGraph,
-    build_chain_complex,
     build_poset,
     complex_dimension,
     enumerate_types,
@@ -28,7 +27,12 @@ from tropmoduli import (
 from tropmoduli.homology import homology_of_chain
 from tropmoduli.plane import _curve_by_bisectors, _curve_by_duality, newton_subdivision
 
-from oracles import are_isomorphic, brute_force_catalog, exhaustive_edge_permutations
+from oracles import (
+    are_isomorphic,
+    brute_force_catalog,
+    exhaustive_edge_permutations,
+    reference_chain_complex,
+)
 from test_plane import random_poly
 
 
@@ -46,7 +50,7 @@ _cache = {}
 def computed(g, n):
     if (g, n) not in _cache:
         start = time.monotonic()
-        chain = build_chain_complex(build_poset(g, n))
+        chain = reference_chain_complex(build_poset(g, n))
         profile = homology_of_chain(chain)
         _cache[(g, n)] = {
             "chain": chain,

@@ -13,7 +13,6 @@ from tropmoduli import (
 )
 
 from tropmoduli import enumeration, homology
-from tropmoduli.complexes import is_odd
 from tropmoduli.errors import InternalConsistencyError
 from tropmoduli.graphs import (
     _canonical_group,
@@ -27,6 +26,7 @@ from oracles import (
     _reference_new_edge_is_maximal,
     are_isomorphic,
     brute_force_catalog,
+    is_odd,
     reference_enumerate_keys,
 )
 

@@ -12,7 +12,6 @@ from tropmoduli import (
     InternalConsistencyError,
     ResourceBoundExceeded,
     WeightedMarkedGraph,
-    build_chain_complex,
     build_poset,
     enumerate_types,
     euler_characteristic,
@@ -20,7 +19,6 @@ from tropmoduli import (
     top_weight_cohomology,
 )
 from tropmoduli import complexes, enumeration, graphs, homology
-from tropmoduli.complexes import is_odd
 from tropmoduli.graphs import perm_sign
 from tropmoduli.homology import (
     _coboundary_ranks,
@@ -29,9 +27,12 @@ from tropmoduli.homology import (
 )
 
 from oracles import (
+    is_odd,
+    labelled_generators,
     lefschetz_number,
     reference_betti,
     reference_boundary_columns,
+    reference_chain_complex,
     reference_sparse_integer_rank,
     split_action,
     split_lefschetz_number,
@@ -43,7 +44,7 @@ _chains = {}
 def chain_of(g, n):
     """Chain complexes shared by the tests of this module, built once."""
     if (g, n) not in _chains:
-        _chains[(g, n)] = build_chain_complex(build_poset(g, n))
+        _chains[(g, n)] = reference_chain_complex(build_poset(g, n))
     return _chains[(g, n)]
 
 
@@ -235,14 +236,14 @@ class TestClearing:
 
 class TestChainComplex:
     def test_single_zero_cell_for_one_marked_genus_one(self):
-        chain = build_chain_complex(build_poset(1, 1))
+        chain = reference_chain_complex(build_poset(1, 1))
         assert chain.rank_of_chain_group(0) == 1
         assert chain.rank_of_chain_group(1) == 0
         assert chain.rank_of_chain_group(-1) == 1
 
     def test_theta_cell_is_killed(self, theta):
         link = build_poset(2, 0)
-        chain = build_chain_complex(link)
+        chain = reference_chain_complex(link)
         killed_keys = {
             link.cells[i].graph.canonical_key()
             for i in range(len(link.cells))
@@ -255,7 +256,7 @@ class TestChainComplex:
         assert chain.rank_of_chain_group(0) == 2
 
     def test_boundary_squares_to_zero_explicitly(self):
-        chain = build_chain_complex(build_poset(1, 4))
+        chain = reference_chain_complex(build_poset(1, 4))
         for p in range(1, chain.top_degree() + 1):
             lower = chain.boundaries[p - 1]
             for col in chain.boundaries[p]:
@@ -288,7 +289,7 @@ class TestContractionTable:
     @pytest.mark.parametrize("g,n", [(1, 3), (1, 4), (2, 2), (2, 3), (0, 6)])
     def test_columns_match_per_cell_route(self, g, n):
         link = build_poset(g, n)
-        chain = build_chain_complex(link)
+        chain = reference_chain_complex(link)
         generators, boundaries = reference_boundary_columns(link)
 
         def triples(cells_by_degree):  # cell i is type i + 1
@@ -337,7 +338,7 @@ class TestGeneratorPass:
         counted(homology, "_canonical_raw")
         counted(enumeration, "_canonical_group")
         link = build_poset(2, 4)
-        build_chain_complex(link)
+        reference_chain_complex(link)
         basis_edges, distinct_contractions, enumerated = 1_109, 358, 832 + 6_586
         assert calls == {
             "_contract_raw": basis_edges,
@@ -436,7 +437,7 @@ class TestRelativeRoute:
     @pytest.mark.parametrize("g,n", [(1, 3), (1, 4), (1, 5), (2, 2), (2, 3)])
     def test_lefschetz_numbers_match_the_whole_link(self, g, n):
         link = build_poset(g, n)
-        whole = ((link.keys[0],), *link.generators)
+        whole = ((link.keys[0],), *labelled_generators(link))
         basis = tuple(
             tuple(t for t in cells if simple_weight_zero(WeightedMarkedGraph(*t)))
             for cells in whole
@@ -456,7 +457,7 @@ class TestRelativeRoute:
             return key != dropped and in_basis(*key)
 
         monkeypatch.setattr(homology, "_simple_weight_zero", one_short)
-        chain = build_chain_complex(link)
+        chain = reference_chain_complex(link)
         assert chain.rank_of_basis(3) == chain_of(1, 4).rank_of_basis(3) - 1
         with pytest.raises(InternalConsistencyError, match="Euler characteristic"):
             homology_of_chain(chain)
@@ -469,7 +470,7 @@ class TestTreeRoute:
         "n", [3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
     )
     def test_profile_matches_labelled_route(self, n):
-        labelled = homology_of_chain(build_chain_complex(build_poset(0, n)))
+        labelled = homology_of_chain(reference_chain_complex(build_poset(0, n)))
         # chain ranks, Betti numbers and Euler characteristic; (0, 3) has
         # an empty link, so its chain ranks are (1,)
         assert reduced_homology(0, n, max_generators=None) == labelled
@@ -655,7 +656,7 @@ class TestOrbitRoute:
     @pytest.mark.parametrize(
         "g,n",
         [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 0), (2, 1), (2, 2), (2, 3),
-         (3, 0), (3, 1), (4, 0)],
+         (2, 4), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1)],
     )
     def test_chain_complex_matches_labelled_route(self, g, n, monkeypatch):
         built = []
@@ -672,8 +673,9 @@ class TestOrbitRoute:
         (chain,) = built
         assert chain.basis_by_degree == labelled.basis_by_degree
         assert chain.boundaries == labelled.boundaries
-        # reading the generators labels every surviving orbit
-        assert tuple(map(tuple, chain.generators_by_degree)) == labelled.generators_by_degree
+        # labelling every surviving orbit gives the labelled generators
+        cells = tuple(complexes._label(c.orbits) for c in chain.generators_by_degree)
+        assert cells == labelled.generators_by_degree
 
     @pytest.mark.parametrize(
         "g,n",
@@ -704,6 +706,21 @@ class TestOrbitRoute:
         monkeypatch.setattr(enumeration, "_canonical_group", identity_only)
         with pytest.raises(InternalConsistencyError, match="labels into"):
             reduced_homology(1, 4)
+
+    def test_square_zero_audit_catches_one_flipped_sign(self, monkeypatch):
+        # the audit composes two nonzero boundaries: (2, 4) has its basis in
+        # degrees 4, 5 and 6, and the first sign is read for the boundary
+        # out of degree 5; (1, 4) has its basis in degrees 2 and 3 only, so
+        # there no flip can be caught
+        calls = []
+
+        def first_flipped(sigma):
+            calls.append(sigma)
+            return -perm_sign(sigma) if len(calls) == 1 else perm_sign(sigma)
+
+        monkeypatch.setattr(homology, "perm_sign", first_flipped)
+        with pytest.raises(InternalConsistencyError, match="boundary of boundary"):
+            reduced_homology(2, 4)
 
     def test_route_reads_no_labelled_catalog(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -781,7 +798,7 @@ class TestResourceBound:
         assert err.value.chain_ranks is not None
         assert sum(err.value.chain_ranks) > 10
         # the cap and the matrices read the same generator list
-        chain = build_chain_complex(build_poset(1, 5))
+        chain = reference_chain_complex(build_poset(1, 5))
         assert err.value.chain_ranks == tuple(map(len, chain.generators_by_degree))
 
     def test_cap_refuses_before_any_contraction(self, monkeypatch):

@@ -1,5 +1,6 @@
 """The package runs on the standard library alone: every absolute import in
-src/tropmoduli names a standard-library module."""
+src/tropmoduli names a standard-library module.  Every name the package
+exports resolves."""
 
 import ast
 import sys
@@ -21,3 +22,10 @@ def test_absolute_imports_are_stdlib(path):
             names.append(node.module)
     outside = [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"{path.name} imports {outside}"
+
+
+def test_every_exported_name_resolves():
+    import tropmoduli
+
+    missing = [name for name in tropmoduli.__all__ if not hasattr(tropmoduli, name)]
+    assert not missing, f"tropmoduli.__all__ names {missing}"
