@@ -403,6 +403,8 @@ def _run_tropicalize_plane(args) -> None:
     poly = TropicalPolynomial.from_json_dict(data)
     sub = newton_subdivision(poly)
     curve = _tropical_curve(poly, sub)
+    payload = curve.to_json_dict()
+    payload["newton_faces"] = [list(face) for face in sub.faces]
     if args.svg is not None:
         parts = [p.strip() for p in args.viewport.split(",")]
         try:
@@ -414,8 +416,6 @@ def _run_tropicalize_plane(args) -> None:
         if len(viewport) != 4 or viewport[0] >= viewport[2] or viewport[1] >= viewport[3]:
             raise GraphError("viewport must be finite xmin,ymin,xmax,ymax with min < max")
         _write([render_svg(curve, viewport=viewport, size=args.size)], args.svg)
-    payload = curve.to_json_dict()
-    payload["newton_faces"] = [list(face) for face in sub.faces]
     _write([_dump_json(payload)], args.output)
 
 

@@ -217,7 +217,7 @@ class OrbitCatalog(TypeCatalog):
         cells survive."""
         by_dimension: list[list] = [[] for _ in range(max_edges(self.g, self.n))]
         for key in self.keys[1:]:
-            if _repeated_edge(key[1]):  # odd, with no automorphism search
+            if _repeated_edge(key[1]):  # two parallel edges swap oddly, whatever the group
                 continue
             size, odd = _orbit(key, self.groups.get(key, ()))
             if not odd:

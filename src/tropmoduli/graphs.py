@@ -21,7 +21,9 @@ The two nontrivial algorithms live here:
   vertex automorphisms are the relabelings between its minimal leaves, and
   each class of k parallel edges adds a factor k! and, for k >= 2, a
   transposition.  _canonical_group returns a key with its vertex
-  automorphisms from that one search, so a catalog can keep them.
+  automorphisms from that one search, so a catalog can keep them; it is
+  the only reader of every leaf, and WeightedMarkedGraph.automorphisms
+  counts its group on the key it returns.
 
 Loops deserve care throughout: a loop counts twice toward valence, a loop
 flip is an automorphism whose induced edge permutation is the identity, and
@@ -185,9 +187,11 @@ class WeightedMarkedGraph:
     # -- automorphisms ----------------------------------------------------------
 
     def automorphisms(self) -> "EdgeAutomorphismGroup":
-        """Image of the automorphism group in the symmetric group on edges;
-        see _edge_group_raw."""
-        return _edge_group_raw(self.weights, self.edges, self.markings)
+        """Image of the automorphism group (weights kept, markings fixed) in
+        the symmetric group on edges, counted on the canonical key from the
+        group its search found: relabelling keeps order and parity."""
+        key, group = _canonical_group(self.weights, self.edges, self.markings)
+        return _edge_group(key[1], group)
 
     # -- serialization ------------------------------------------------------------
 
@@ -412,7 +416,8 @@ def _minimal_leaves(weights, edges, markings, start=None, unlabelled=False):
     automorphism; so the leaves give the whole group only while the tree
     stays unpruned.  A pruned search must collect automorphism generators
     instead.  _canonical_raw reads the first leaf; _canonical_group, which
-    the enumeration calls, and _vertex_automorphisms read all of them.
+    the enumeration and WeightedMarkedGraph.automorphisms call, reads all
+    of them.
     """
     if start is None:
         start = _start_colors(weights, edges, markings, unlabelled)
@@ -467,24 +472,6 @@ def _canonical_group(weights, edges, markings, start=None, unlabelled=False):
         return key, ()
     back = _positions(leaves[0])
     return key, tuple(tuple(leaf[v] for v in back) for leaf in leaves)
-
-
-def _vertex_automorphisms(weights, edges, markings, unlabelled=False) -> list[list[int]]:
-    """Every vertex automorphism, as its list of vertex images, each once:
-    the relabelings between the minimal leaves of the canonical labeling
-    search (unlabelled as there).  The first is the identity."""
-    _, leaves = _minimal_leaves(weights, edges, markings, unlabelled=unlabelled)
-    back = _positions(leaves[0])
-    return [[back[p] for p in leaf] for leaf in leaves]
-
-
-def _edge_group_raw(weights, edges, markings) -> EdgeAutomorphismGroup:
-    """Image of the automorphism group in the symmetric group on edges.
-
-    Automorphisms preserve weights and fix every marking pointwise; see
-    _edge_group for how the group is counted from its vertex automorphisms.
-    """
-    return _edge_group(edges, _vertex_automorphisms(weights, edges, markings))
 
 
 def _edge_group(edges, sigmas) -> EdgeAutomorphismGroup:

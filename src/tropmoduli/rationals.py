@@ -8,7 +8,10 @@ all serialized values use the string forms "p/q", "p", or "inf".
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+
+from .errors import GraphError
 
 # "t^(q)" or "t^q": the closing parenthesis is required exactly when the
 # opening one is there
@@ -84,10 +87,13 @@ def parse_length(value) -> Fraction | Infinity:
 
 
 def format_rational(q) -> str:
-    """Render a Fraction (or INF) in the canonical "p/q" / "p" / "inf" form."""
+    """Render a Fraction (or INF) in the canonical "p/q" / "p" / "inf" form.
+    A part with more digits than Python converts is refused with GraphError."""
     if isinstance(q, Infinity):
         return "inf"
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q)  # "p/q", or "p" for an integer
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise GraphError(f"an exact result has more than {limit} digits") from exc

@@ -8,7 +8,9 @@ between the two routes is meaningful:
   multisets, all weight vectors, all marking functions), deduplicated by
   trying every vertex bijection;
 * exhaustive edge-permutation search over all vertex bijections and all
-  matchings of parallel edges.
+  matchings of parallel edges;
+* vertex automorphisms by trying every bijection within the start-colour
+  classes, for labelled types and for orbit keys.
 
 One reference route does use the package's graphs: boundary columns computed
 cell by cell, as the package once assembled them (contract an edge,
@@ -23,6 +25,10 @@ a face poset before homology read S_n-orbits for g >= 1 and splits for
 g = 0: the surviving labelled cells by parity, the simple weight-0 basis,
 the package's contraction table and its d(d(x)) = 0 audit.  The orbit route
 must give its matrices, and both routes its chain ranks and Betti numbers.
+
+One reference reads the vertex automorphisms off the minimal leaves of the
+package's labelling search, as the package once did for each graph, to
+check each catalog's stored group against a second run of that search.
 
 One more uses the package's canonical labeling: the trace of a permutation
 of the markings on the chain line of a surviving cell, read from the
@@ -236,6 +242,54 @@ def exhaustive_edge_permutations(weights, edges, markings):
     return result
 
 
+def brute_force_vertex_automorphisms(weights, edges, markings, unlabelled=False):
+    """Every vertex automorphism, as its tuple of vertex images, by trying
+    every bijection within the classes of equal start colour (weight,
+    valence, loop count and number of markings).  An automorphism of a
+    labelled type fixes the vertex of each marking; with unlabelled (an
+    orbit key) it may move markings, and keeps only the sorted tuple of
+    marked vertices."""
+    nv = len(weights)
+    val = valences(nv, edges)
+    loops = Counter(u for u, v in edges if u == v)
+    marks = Counter(markings)
+    classes: dict = {}
+    for v in range(nv):
+        classes.setdefault((weights[v], val[v], loops[v], marks[v]), []).append(v)
+    blocks = list(classes.values())
+    edge_counter = Counter(edges)
+    found = set()
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        sigma = [0] * nv
+        for block, image in zip(blocks, images):
+            for v, w in zip(block, image):
+                sigma[v] = w
+        if unlabelled:
+            if sorted(sigma[m] for m in markings) != sorted(markings):
+                continue
+        elif any(sigma[m] != m for m in markings):
+            continue
+        mapped = Counter(
+            (sigma[u], sigma[v]) if sigma[u] <= sigma[v] else (sigma[v], sigma[u])
+            for u, v in edges
+        )
+        if mapped == edge_counter:
+            found.add(tuple(sigma))
+    return found
+
+
+def reference_vertex_automorphisms(weights, edges, markings, unlabelled=False):
+    """Every vertex automorphism, as its list of vertex images, each once:
+    the relabelings between the minimal leaves of the package's labelling
+    search (unlabelled as there), read apart from the key and its stored
+    group.  The first is the identity."""
+    from tropmoduli.graphs import _minimal_leaves, _positions
+
+    _, leaves = _minimal_leaves(weights, edges, markings, unlabelled=unlabelled)
+    back = _positions(leaves[0])
+    return [[back[p] for p in leaf] for leaf in leaves]
+
+
 def reference_boundary_columns(link):
     """Generators and boundary columns of a link's chain complex, per cell.
 
@@ -285,11 +339,11 @@ def is_odd(weights, edges, markings) -> bool:
     Two parallel edges, or two loops at one vertex, swap to a transposition,
     so only types without a repeated edge need their edge group.
     """
-    from tropmoduli.graphs import _edge_group_raw
+    from tropmoduli.graphs import WeightedMarkedGraph
 
-    return len(set(edges)) < len(edges) or _edge_group_raw(
+    return len(set(edges)) < len(edges) or WeightedMarkedGraph(
         weights, edges, markings
-    ).has_odd_element
+    ).automorphisms().has_odd_element
 
 
 def labelled_generators(poset):

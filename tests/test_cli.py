@@ -616,6 +616,52 @@ _DOCUMENTS = (
     | st.fixed_dictionaries({"terms": _records(i=_SMALL, j=_SMALL, val=_LEAF)})
     | _JSON
 )
+# Python before 3.10.7 has no limit on integer string conversion
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(_DIGITS == 0, reason="no limit on integer string conversion")
+class TestResultsPastTheDigitLimit:
+    """Inputs with exactly the largest number of digits Python converts are
+    accepted; a result that outgrows them is refused with one error line."""
+
+    NINES = "9" * _DIGITS
+
+    def test_plane_vertex_is_refused_before_the_svg(self, capsys, tmp_path):
+        # the three terms tie at x = -2 * 9...9, one digit too many
+        poly = tmp_path / "poly.json"
+        terms = [
+            {"i": 0, "j": 0, "val": "-" + self.NINES},
+            {"i": 1, "j": 0, "val": self.NINES},
+            {"i": 0, "j": 1, "val": "0"},
+        ]
+        poly.write_text(json.dumps({"terms": terms}))
+        svg = tmp_path / "x.svg"
+        for extra in ([], ["--svg", str(svg)]):
+            code, out, err = run(capsys, "tropicalize-plane", str(poly), *extra)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: an exact result has more than {_DIGITS} digits\n"
+            assert not svg.exists()
+
+    def test_model_volume_is_refused(self, capsys, tmp_path):
+        # each length prints, but their sum 3 * 9...9 does not
+        model = tmp_path / "model.json"
+        model.write_text(
+            json.dumps(
+                {
+                    "components": [{"id": 0, "genus": 0}, {"id": 1, "genus": 0}],
+                    "nodes": [{"a": 0, "b": 1, "length": self.NINES}] * 3,
+                    "markings": [],
+                }
+            )
+        )
+        code, out, err = run(capsys, "tropicalize-model", str(model))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: an exact result has more than {_DIGITS} digits\n"
+
+
 _ARCH = {"i": 1, "j": 0, "val": "0"}, {"i": 0, "j": 1, "val": "0"}
 
 
@@ -910,11 +956,12 @@ class TestHugeMarkings:
 class TestAutomorphismsOncePerType:
     def test_commands_search_no_automorphism_again(self, capsys, monkeypatch):
         # each catalog keeps the groups its own search found, so neither the
-        # edge groups of complex JSON nor the orbit sizes search again
+        # edge groups of complex JSON nor the orbit sizes search again; a
+        # graph's automorphisms are the only other entry into the search
         def refused(*args, **kwargs):
             raise AssertionError("the catalog keeps every group")
 
-        monkeypatch.setattr(graphs, "_vertex_automorphisms", refused)
+        monkeypatch.setattr(graphs.WeightedMarkedGraph, "automorphisms", refused)
         code, out, err = run(capsys, "complex", "--genus", "4", "--markings", "1")
         assert code == 0, err
         cells = json.loads(out)["cells"]

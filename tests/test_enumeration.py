@@ -14,20 +14,17 @@ from tropmoduli import (
 
 from tropmoduli import enumeration, homology
 from tropmoduli.errors import InternalConsistencyError
-from tropmoduli.graphs import (
-    _canonical_group,
-    _canonical_raw,
-    _start_colors,
-    _vertex_automorphisms,
-)
+from tropmoduli.graphs import _canonical_group, _canonical_raw, _start_colors
 
 from oracles import (
     _reference_expand_raw,
     _reference_new_edge_is_maximal,
     are_isomorphic,
     brute_force_catalog,
+    brute_force_vertex_automorphisms,
     is_odd,
     reference_enumerate_keys,
+    reference_vertex_automorphisms,
 )
 
 
@@ -329,9 +326,11 @@ class TestOrbitKeys:
             assert _canonical_raw(*key)[0] == key
 
 
-_GROUP_CASES = [
+# the criterion-6 cases, whose types have at most 5 vertices
+_CRITERION_6 = [
     (g, n) for g in range(3) for n in range(8) if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 4
-] + [(2, 4), (3, 2), (4, 1), (5, 0)]
+]
+_GROUP_CASES = _CRITERION_6 + [(2, 4), (3, 2), (4, 1), (5, 0)]
 
 
 def _assert_groups_are_searches(catalog, unlabelled):
@@ -341,7 +340,7 @@ def _assert_groups_are_searches(catalog, unlabelled):
     for key in catalog.keys:
         searched = {
             tuple(sigma)
-            for sigma in _vertex_automorphisms(*key, unlabelled=unlabelled)
+            for sigma in reference_vertex_automorphisms(*key, unlabelled=unlabelled)
         }
         group = catalog.groups.get(key)
         if group is None:
@@ -365,6 +364,17 @@ class TestGroups:
     def test_type_groups_equal_the_labelled_search(self, g, n):
         _assert_groups_are_searches(enumerate_types(g, n), False)
 
+    @pytest.mark.parametrize("g,n", _CRITERION_6)
+    @pytest.mark.parametrize("unlabelled", [True, False], ids=["orbits", "types"])
+    def test_groups_equal_brute_force(self, g, n, unlabelled):
+        # every bijection within the start-colour classes, independent of
+        # the labelling search that the stored groups come from
+        catalog = enumeration.enumerate_orbits(g, n) if unlabelled else enumerate_types(g, n)
+        for key in catalog.keys:
+            group = catalog.groups.get(key, (tuple(range(len(key[0]))),))
+            brute = brute_force_vertex_automorphisms(*key, unlabelled=unlabelled)
+            assert len(set(group)) == len(group) and set(group) == brute, key
+
 
 class TestOrbitCount:
     """count_types sums the sizes of the S_n-orbits of enumerate_orbits and
@@ -383,9 +393,7 @@ class TestOrbitCount:
         "g,n",
         # the criterion-6 cases, whose orbit sizes test_homology also sums;
         # (2, 2), the one brute-force case beyond them; three larger ones
-        [(g, n) for g in range(3) for n in range(8)
-         if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 4]
-        + [(2, 2), (2, 4), (4, 1), (3, 2)],
+        _CRITERION_6 + [(2, 2), (2, 4), (4, 1), (3, 2)],
     )
     def test_equals_labelled_f_vector(self, g, n):
         assert count_types(g, n) == enumerate_types(g, n).f_vector

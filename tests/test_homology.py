@@ -160,6 +160,16 @@ def dense_rank_over_q(columns, nrows):
     return rank
 
 
+def _patch_everywhere(monkeypatch, modules, names, replacement):
+    """Replace each name on every module that has it; a name that no module
+    has fails the test, so a deleted or renamed name cannot drop out."""
+    for name in names:
+        holders = [module for module in modules if hasattr(module, name)]
+        assert holders, f"no module has {name}"
+        for module in holders:
+            monkeypatch.setattr(module, name, replacement)
+
+
 class TestSparseRank:
     def test_identity(self):
         cols = [((i, 1),) for i in range(5)]
@@ -484,10 +494,8 @@ class TestTreeRoute:
         def refused(*args, **kwargs):
             raise AssertionError("genus 0 must not enumerate or label")
 
-        for module in (enumeration, complexes, graphs, homology):
-            for name in ("enumerate_types", "_canonical_raw", "_edge_group_raw"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refused)
+        names = ("enumerate_types", "_canonical_raw", "_canonical_group")
+        _patch_everywhere(monkeypatch, (enumeration, complexes, graphs, homology), names, refused)
         assert reduced_homology(0, 7).betti_map()[3] == 120
 
     def test_default_cap_refuses_before_listing_a_split(self, monkeypatch):
@@ -726,10 +734,8 @@ class TestOrbitRoute:
         def refused(*args, **kwargs):
             raise AssertionError("the orbit route must not read the labelled catalog")
 
-        for module in (enumeration, complexes, homology):
-            for name in ("enumerate_types", "build_poset", "link_cells"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refused)
+        names = ("enumerate_types", "build_poset", "link_cells")
+        _patch_everywhere(monkeypatch, (enumeration, complexes, homology), names, refused)
         betti = reduced_homology(2, 4).betti_map()
         assert {p: b for p, b in betti.items() if b} == {5: 1, 6: 3}
 
