@@ -46,6 +46,7 @@ from .graphs import (
     _canonical_raw,
     _contract_raw,
     _edge_group,
+    _start_sorted,
 )
 
 
@@ -96,9 +97,13 @@ class FacePoset(TypeCatalog):
     def covers(self) -> tuple[tuple[int, int, int], ...]:
         """Every (type, edge) contraction.  The type's group maps an edge to
         edges with isomorphic contractions, so each orbit of endpoint pairs
-        contracts its first edge, and each distinct contracted triple is
-        canonicalized once: equal contracted triples come only from parents
-        with equal edge counts, so the memo lives for one edge count."""
+        contracts its first edge.  The contraction is relabeled in
+        start-color order (graphs._start_sorted), which is the child's key
+        whenever its start colors are pairwise distinct, and is looked up
+        in the catalog as it is; only a miss is canonicalized.  Each
+        distinct relabeled triple is looked up once: equal contracted
+        triples come only from parents with equal edge counts, so the memo
+        lives for one edge count."""
         index = {key: i for i, key in enumerate(self.keys)}
         landing: dict = {}
         level = 0
@@ -112,10 +117,12 @@ class FacePoset(TypeCatalog):
             for e, (a, b) in enumerate(triple[1]):
                 child = orbit_child.get((a, b))
                 if child is None:
-                    contracted = _contract_raw(*triple, e)
+                    contracted = _start_sorted(*_contract_raw(*triple, e))
                     child = landing.get(contracted)
                     if child is None:
-                        child = index.get(_canonical_raw(*contracted)[0])
+                        child = index.get(contracted)
+                        if child is None:
+                            child = index.get(_canonical_raw(*contracted)[0])
                         if child is None:
                             raise InternalConsistencyError(
                                 f"contracting edge {e} of type {i} {triple} lands "

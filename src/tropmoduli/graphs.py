@@ -15,7 +15,12 @@ The two nontrivial algorithms live here:
   labeling is read off by ranking them: no adjacency, refinement or
   search.  Otherwise refinement stops as soon as a round splits no class
   or makes the partition discrete, and a discrete partition is encoded at
-  once;
+  once.  A round computes neighbor signatures only in the classes with two
+  or more members, and the search runs on an explicit stack.  The same
+  shortcut gives _start_sorted, the triple relabeled in start-color order:
+  always isomorphic to it, and the canonical key itself when the start
+  colors are pairwise distinct, so the face poset's contraction table
+  labels only the contractions whose relabeling misses the catalog;
 * the order and parity of the edge-permutation image of the automorphism
   group, counted from the same search without listing its elements: the
   vertex automorphisms are the relabelings between its minimal leaves, and
@@ -327,15 +332,6 @@ def _edge_relabeling(edges, pos) -> tuple[int, ...]:
     return tuple(relabeling)
 
 
-def _adjacency(nv: int, edges) -> list[list[int]]:
-    """Neighbor lists with multiplicity; a loop lists its vertex twice."""
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def _start_colors(weights, edges, markings, unlabelled=False) -> list:
     """Per-vertex start colors (weight, marking bitmask, valence, loop
     count), built in one pass over the edges; a loop counts twice toward
@@ -355,34 +351,39 @@ def _start_colors(weights, edges, markings, unlabelled=False) -> list:
     return list(zip(weights, marks, valence, loops))
 
 
-def _dense_ranks(start: list) -> tuple[list[int], int]:
-    """Rank comparable start colors to 0..k-1; returns the ranks and k."""
-    distinct = sorted(set(start))
-    rank = {c: i for i, c in enumerate(distinct)}
-    return [rank[c] for c in start], len(distinct)
-
-
 def _refine_ranks(nv, adj, colors: list[int], count: int) -> tuple[list[int], int]:
     """Stable color refinement: split classes by the multiset of neighbor
     colors (a loop contributes the vertex's own color twice).
 
-    Takes integer colors forming count classes and returns dense ranks of
-    the stable partition with its class count.  A round sorts by the old
-    color first, so it only splits classes; once the class count stops
-    growing, or reaches nv, the ranks are fixed, and no further round is
-    needed: with distinct colors a round sorts by the color alone.
+    Takes dense colors 0..count-1 and returns dense ranks of the stable
+    partition with its class count.  A round keeps the class order and
+    splits each class by its members' sorted neighbor signatures, all read
+    from the previous round's colors; a singleton cannot split, so it keeps
+    its place without a signature.  Once the class count stops growing, or
+    reaches nv, the ranks are fixed, and no further round is needed.
     """
     while True:
-        keys = [
-            (colors[v], tuple(sorted([colors[u] for u in adj[v]])))
-            for v in range(nv)
-        ]
-        distinct = sorted(set(keys))
-        rank = {k: i for i, k in enumerate(distinct)}
-        colors = [rank[k] for k in keys]
-        if len(distinct) in (count, nv):
-            return colors, len(distinct)
-        count = len(distinct)
+        members: list[list[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(colors):
+            members[c].append(v)
+        new = [0] * nv
+        rank = 0
+        for cls in members:
+            if len(cls) > 1:
+                sigs = [tuple(sorted([colors[u] for u in adj[v]])) for v in cls]
+                distinct = sorted(set(sigs))
+                if len(distinct) > 1:
+                    index = {sig: rank + i for i, sig in enumerate(distinct)}
+                    for v, sig in zip(cls, sigs):
+                        new[v] = index[sig]
+                    rank += len(distinct)
+                    continue
+            for v in cls:
+                new[v] = rank
+            rank += 1
+        if rank in (count, nv):
+            return new, rank
+        colors, count = new, rank
 
 
 def _encode_raw(weights, edges, markings, pos, unlabelled=False):
@@ -402,6 +403,16 @@ def _encode_raw(weights, edges, markings, pos, unlabelled=False):
     return tuple(new_weights), tuple(new_edges), tuple(new_markings)
 
 
+def _start_sorted(weights, edges, markings):
+    """The triple relabeled in start-color order, ties in vertex order.  It
+    is isomorphic to the triple, and when the start colors are pairwise
+    distinct it is the canonical key, which _minimal_leaves then reads off
+    the same order."""
+    start = _start_colors(weights, edges, markings)
+    order = sorted(range(len(weights)), key=start.__getitem__)
+    return _encode_raw(weights, edges, markings, _positions(order))
+
+
 def _minimal_leaves(weights, edges, markings, start=None, unlabelled=False):
     """Minimal encoding over all admissible labelings, and the positions
     (old vertex -> new vertex) of every leaf reaching it, in search order.
@@ -411,46 +422,51 @@ def _minimal_leaves(weights, edges, markings, start=None, unlabelled=False):
     ranked once.  When they are pairwise distinct, refinement cannot reorder
     them, so their dense ranks are the only leaf.  Otherwise the search
     starts from the same ranks: refinement plus individualization of every
-    vertex of the first non-singleton class, at every node.  Automorphisms
-    permute the leaves, and two minimal leaves differ by exactly one
-    automorphism; so the leaves give the whole group only while the tree
-    stays unpruned.  A pruned search must collect automorphism generators
-    instead.  _canonical_raw reads the first leaf; _canonical_group, which
-    the enumeration and WeightedMarkedGraph.automorphisms call, reads all
-    of them.
+    vertex of the first non-singleton class, at every node, as a class of
+    its own after every other.  The search runs on a stack of nodes that
+    yields the children in vertex order, so the leaves come in depth-first
+    order.  Automorphisms permute the leaves, and two minimal leaves differ
+    by exactly one automorphism; so the leaves give the whole group only
+    while the tree stays unpruned.  A pruned search must collect
+    automorphism generators instead.  _canonical_raw reads the first leaf;
+    _canonical_group, which the enumeration and
+    WeightedMarkedGraph.automorphisms call, reads all of them.
     """
     if start is None:
         start = _start_colors(weights, edges, markings, unlabelled)
     nv = len(weights)
-    colors, count = _dense_ranks(start)
-    if count == nv:
+    distinct = sorted(set(start))
+    rank = {c: i for i, c in enumerate(distinct)}
+    colors = [rank[c] for c in start]
+    if len(distinct) == nv:
         return _encode_raw(weights, edges, markings, colors, unlabelled), [colors]
-    adj = _adjacency(nv, edges)
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
     best = None
     leaves: list = []
-
-    def visit(colors: list[int], count: int):
-        nonlocal best
-        colors, count = _refine_ranks(nv, adj, colors, count)
+    stack = [(colors, len(distinct))]
+    while stack:
+        colors, count = _refine_ranks(nv, adj, *stack.pop())
         if count == nv:  # discrete: the ranks are the positions
             key = _encode_raw(weights, edges, markings, colors, unlabelled)
             if best is None or key < best:
                 best = key
-                leaves.clear()
-            if key == best:
+                leaves = [colors]
+            elif key == best:
                 leaves.append(colors)
-            return
+            continue
         sizes = [0] * count
         for c in colors:
             sizes[c] += 1
         first = next(c for c in range(count) if sizes[c] > 1)
-        for v in range(nv):
+        # the last child is pushed first, so children are visited in vertex order
+        for v in range(nv - 1, -1, -1):
             if colors[v] == first:
-                child = list(colors)
-                child[v] = nv  # strictly larger than any refined rank
-                visit(child, count + 1)
-
-    visit(colors, count)
+                child = colors.copy()
+                child[v] = count  # a class of its own, after every other
+                stack.append((child, count + 1))
     return best, leaves
 
 

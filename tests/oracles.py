@@ -26,10 +26,6 @@ g = 0: the surviving labelled cells by parity, the simple weight-0 basis,
 the package's contraction table and its d(d(x)) = 0 audit.  The orbit route
 must give its matrices, and both routes its chain ranks and Betti numbers.
 
-One reference reads the vertex automorphisms off the minimal leaves of the
-package's labelling search, as the package once did for each graph, to
-check each catalog's stored group against a second run of that search.
-
 One more uses the package's canonical labeling: the trace of a permutation
 of the markings on the chain line of a surviving cell, read from the
 definition (move the markings, and compare the canonical key and the edge
@@ -37,12 +33,16 @@ relabeling), for Lefschetz numbers that the matrices never see.  Its
 genus-0 counterpart acts on splits directly: move the markings, read the
 moved split sets, and take the sign of sorting the moved split indices.
 
-One reference keeps the package's canonical labeling as it was before its
-shortcuts: tuple start colors, refinement to a fixpoint and a search that
-branches on every vertex of the first non-singleton class, at every node.
-The package must return the same key, and as positions (old vertex ->
-canonical vertex) the inverse of the same vertex order, since boundary signs
-and certificate relabelings are read from the positions.
+One reference keeps the package's labelling search as it was before its
+shortcuts and its tuned kernel: tuple start colors, refinement of every
+class to a fixpoint, and a recursive search that branches on every vertex of
+the first non-singleton class, at every node.  The package must return the
+same key and every minimal leaf in the same order; as positions (old vertex
+-> canonical vertex) its first leaf is the inverse of the same vertex order,
+since boundary signs and certificate relabelings are read from the
+positions.  The vertex automorphisms read off those leaves, as the package
+once did for each graph, check each catalog's stored group against a
+second search.
 
 One reference keeps the package's exact rank as it was before its pivot
 heap: each pivot row is found by a scan over every occupied row.  The
@@ -280,13 +280,13 @@ def brute_force_vertex_automorphisms(weights, edges, markings, unlabelled=False)
 
 def reference_vertex_automorphisms(weights, edges, markings, unlabelled=False):
     """Every vertex automorphism, as its list of vertex images, each once:
-    the relabelings between the minimal leaves of the package's labelling
-    search (unlabelled as there), read apart from the key and its stored
-    group.  The first is the identity."""
-    from tropmoduli.graphs import _minimal_leaves, _positions
-
-    _, leaves = _minimal_leaves(weights, edges, markings, unlabelled=unlabelled)
-    back = _positions(leaves[0])
+    the relabelings between the minimal leaves of reference_minimal_leaves
+    (unlabelled as there), read apart from the package's search, its key
+    and its stored group.  The first is the identity."""
+    _, leaves = reference_minimal_leaves(weights, edges, markings, unlabelled)
+    back = [0] * len(weights)
+    for v, p in enumerate(leaves[0]):
+        back[p] = v
     return [[back[p] for p in leaf] for leaf in leaves]
 
 
@@ -526,10 +526,10 @@ def _reference_adjacency(nv, edges):
     return adj
 
 
-def _reference_initial_keys(nv, adj, weights, edges, markings):
+def _reference_initial_keys(nv, adj, weights, edges, markings, unlabelled=False):
     marks = [0] * nv
     for k, v in enumerate(markings):
-        marks[v] |= 1 << k
+        marks[v] = marks[v] << 1 | 1 if unlabelled else marks[v] | 1 << k
     loops = [0] * nv
     for u, v in edges:
         if u == v:
@@ -550,7 +550,7 @@ def _reference_refine_ranks(nv, adj, colors):
         colors = new_colors
 
 
-def _reference_encode(weights, edges, markings, order):
+def _reference_encode(weights, edges, markings, order, unlabelled=False):
     pos = [0] * len(order)
     for i, v in enumerate(order):
         pos[v] = i
@@ -559,50 +559,58 @@ def _reference_encode(weights, edges, markings, order):
         a, b = pos[u], pos[v]
         new_edges.append((a, b) if a <= b else (b, a))
     new_edges.sort()
-    return (
-        tuple(weights[v] for v in order),
-        tuple(new_edges),
-        tuple(pos[m] for m in markings),
-    )
+    new_markings = [pos[m] for m in markings]
+    if unlabelled:
+        new_markings.sort()
+    return tuple(weights[v] for v in order), tuple(new_edges), tuple(new_markings)
 
 
-def reference_canonical_raw(weights, edges, markings):
-    """(key, vertex order) of the full refinement-and-search labeling.
-
-    The key is the minimal encoding over the leaves of the search; the order
-    is the first leaf that reaches it.
-    """
+def reference_minimal_leaves(weights, edges, markings, unlabelled=False):
+    """(key, leaves) of the package's labelling search as it was written
+    before its kernel was tuned: a recursive search that refines tuple
+    start colors to a fixpoint and individualizes every vertex of the first
+    non-singleton class, in vertex order, as a class after every other.
+    The key is the minimal encoding over the leaves, and leaves lists the
+    positions (old vertex -> new vertex) of every leaf reaching it, in
+    search order.  With unlabelled the markings are counted and sorted."""
     nv = len(weights)
-    if nv == 1:
-        return (weights, tuple(sorted(edges)), markings), (0,)
     adj = _reference_adjacency(nv, edges)
-    best = [None, None]
+    best = [None]
+    leaves = []
 
     def search(colors):
         colors = _reference_refine_ranks(nv, adj, colors)
         classes = {}
         for v, c in enumerate(colors):
             classes.setdefault(c, []).append(v)
-        branch = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                branch = classes[c]
-                break
+        branch = next((classes[c] for c in sorted(classes) if len(classes[c]) > 1), None)
         if branch is None:
             order = sorted(range(nv), key=colors.__getitem__)
-            key = _reference_encode(weights, edges, markings, order)
+            key = _reference_encode(weights, edges, markings, order, unlabelled)
             if best[0] is None or key < best[0]:
                 best[0] = key
-                best[1] = order
+                leaves.clear()
+            if key == best[0]:
+                leaves.append(colors)
             return
-        fresh = nv
         for v in branch:
             child = list(colors)
-            child[v] = fresh
+            child[v] = nv
             search(child)
 
-    search(_reference_initial_keys(nv, adj, weights, edges, markings))
-    return best[0], tuple(best[1])
+    search(_reference_initial_keys(nv, adj, weights, edges, markings, unlabelled))
+    return best[0], leaves
+
+
+def reference_canonical_raw(weights, edges, markings):
+    """(key, vertex order) of the full refinement-and-search labeling: the
+    key of reference_minimal_leaves, and the vertex order of the first leaf
+    that reaches it."""
+    key, leaves = reference_minimal_leaves(weights, edges, markings)
+    order = [0] * len(weights)
+    for v, p in enumerate(leaves[0]):
+        order[p] = v
+    return key, tuple(order)
 
 
 def reference_search_kind(weights, edges, markings):

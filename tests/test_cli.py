@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -139,13 +140,21 @@ class TestComplexCommand:
     def test_contraction_outside_catalog_is_internal_error(
         self, capsys, tmp_path, monkeypatch
     ):
-        outside = ((9,), (), (0, 0))
-        monkeypatch.setattr(complexes, "_canonical_raw", lambda *triple: (outside, (0,)))
+        # (1, 2) without type 1: edge 0 of type 3, type 2 once type 1 is
+        # gone, is the first contraction to land on it
+        enumerate_types = complexes.enumerate_types
+
+        def without_type_one(g, n):
+            catalog = enumerate_types(g, n)
+            keys = catalog.keys[:1] + catalog.keys[2:]
+            return dataclasses.replace(catalog, keys=keys)
+
+        monkeypatch.setattr(complexes, "enumerate_types", without_type_one)
         code, out, err = run(capsys, "complex", "--genus", "1", "--markings", "2")
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "edge 0 of type 1" in err and "outside the catalog" in err
+        assert "edge 0 of type 2" in err and "outside the catalog" in err
         target = tmp_path / "x.json"
         target.write_text("kept\n")
         code, out, err = run(

@@ -13,7 +13,7 @@ from tropmoduli import (
 )
 from tropmoduli import complexes, enumeration
 from tropmoduli.complexes import hasse_dot
-from tropmoduli.graphs import _canonical_raw, _start_colors
+from tropmoduli.graphs import _canonical_raw, _contract_raw, _start_colors, _start_sorted
 
 from oracles import is_odd, maximal_types, reference_covers
 
@@ -93,19 +93,24 @@ class TestFacePoset:
 
     def test_covers_canonicalize_each_distinct_contraction_once(self, monkeypatch):
         # (2, 4): one edge per orbit of the parent's group on its endpoint
-        # pairs is contracted, 24,239 of the 27,575 (type, edge) pairs, and
-        # the distinct contracted triples within an edge count are
-        # canonicalized once, 15,620 of them; contracting every edge gave
-        # 15,836
-        assert _cover_calls(monkeypatch, 2, 4) == (27_575, 24_239, 15_620)
+        # pairs is contracted, 24,239 of the 27,575 (type, edge) pairs; a
+        # contraction relabelled in start-colour order is looked up in the
+        # catalog, and only a miss is canonicalized, once per distinct
+        # relabelled triple within an edge count: 547 of them.  Before the
+        # relabelling, the 15,620 distinct raw triples were canonicalized,
+        # and contracting every edge gave 15,836
+        assert _cover_calls(monkeypatch, 2, 4) == (27_575, 24_239, 547)
 
     def test_covers_of_genus_four_canonicalize_one_edge_per_orbit(self, monkeypatch):
-        # 766 of the 2,666 types have a nontrivial group; contracting every
-        # edge canonicalized 11,738 triples
-        assert _cover_calls(monkeypatch, 4, 1) == (17_835, 13_428, 10_674)
+        # 766 of the 2,666 types have a nontrivial group; the 10,674 distinct
+        # raw contracted triples fall into 3,788 once relabelled in
+        # start-colour order, and 1,947 of those miss the catalog; contracting
+        # every edge canonicalized 11,738 triples
+        assert _cover_calls(monkeypatch, 4, 1) == (17_835, 13_428, 1_947)
 
     @pytest.mark.parametrize(
-        "g,n,nontrivial", [(4, 1, 766), (2, 3, 31), (3, 2, 209), (1, 4, 0), (0, 6, 0)]
+        "g,n,nontrivial",
+        [(4, 1, 766), (2, 4, 212), (2, 3, 31), (3, 2, 209), (1, 4, 0), (0, 6, 0)],
     )
     def test_orbit_covers_equal_the_per_edge_covers(self, g, n, nontrivial):
         # (1, 4) and (0, 6) have no type with a nontrivial group, so each
@@ -113,6 +118,26 @@ class TestFacePoset:
         poset = build_poset(g, n)
         assert len(poset.groups) == nontrivial
         assert poset.covers == reference_covers(poset)
+
+    @pytest.mark.parametrize("dropped,parent,direct", [(5, 8, True), (6, 12, False)])
+    def test_contraction_outside_catalog_raises_on_either_lookup(self, dropped, parent, direct):
+        # (3, 0) without one type: contracting the first loop of the parent,
+        # type parent - 1 once the dropped type is gone, is the first
+        # contraction to land on it.  Relabelled in start-colour order, the
+        # contraction of type 8 is type 5's key, which the direct lookup
+        # would find; that of type 12 is a path whose middle vertex sorts
+        # last, and only its canonical key would find type 6
+        catalog = enumerate_types(3, 0)
+        landing = _start_sorted(*_contract_raw(*catalog.keys[parent], 0))
+        assert (landing == catalog.keys[dropped]) == direct
+        assert _canonical_raw(*landing)[0] == catalog.keys[dropped]
+        keys = catalog.keys[:dropped] + catalog.keys[dropped + 1:]
+        poset = complexes.FacePoset(3, 0, keys, catalog.f_vector, catalog.groups)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=rf"contracting edge 0 of type {parent - 1} .* lands outside the catalog",
+        ):
+            poset.covers
 
 
 class TestLinkComplex:

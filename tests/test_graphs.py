@@ -9,13 +9,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropmoduli import GraphError, WeightedMarkedGraph, enumerate_types
-from tropmoduli.graphs import _canonical_raw, _contract_raw, _encode_raw
+from tropmoduli import GraphError, WeightedMarkedGraph, enumerate_types, enumeration
+from tropmoduli.graphs import (
+    _canonical_raw,
+    _contract_raw,
+    _encode_raw,
+    _minimal_leaves,
+    _start_colors,
+    _start_sorted,
+)
 
 from oracles import (
     _reference_expand_raw,
     exhaustive_edge_permutations,
     reference_canonical_raw,
+    reference_minimal_leaves,
     reference_search_kind,
 )
 
@@ -186,6 +194,30 @@ class TestCanonicalOracle:
         if (g, n) == (4, 1):
             assert kinds == {"start", "refined", "search"}
 
+    @pytest.mark.parametrize("g,n", [(4, 1), (2, 4)])
+    def test_every_minimal_leaf_matches_the_reference_search(self, monkeypatch, g, n):
+        # the searches of the enumeration (the sweep's expansions, unlabelled
+        # and with their start colors, and for (2, 4) the labellings of the
+        # orbits), then the catalog keys and their contractions
+        searches = []
+        group = enumeration._canonical_group
+
+        def recorded(*args, **kwargs):
+            searches.append((args[:3], kwargs))
+            return group(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "_canonical_group", recorded)
+        keys = enumerate_types(g, n).keys
+        searches += [(key, {}) for key in keys]
+        searches += [(_contract_raw(*key, e), {}) for key in keys for e in range(len(key[1]))]
+        most = 0
+        for triple, kwargs in searches:
+            expected = reference_minimal_leaves(*triple, kwargs.get("unlabelled", False))
+            assert _minimal_leaves(*triple, **kwargs) == expected, (triple, kwargs)
+            most = max(most, len(expected[1]))
+        assert any(kwargs.get("unlabelled") for _, kwargs in searches)
+        assert most > 2
+
     @pytest.mark.parametrize("g,n", [(2, 3), (4, 1)])
     def test_positions_realize_the_key(self, g, n):
         for graph in enumerate_types(g, n).strata:
@@ -256,6 +288,21 @@ def test_contraction_keeps_genus_markings_and_stability(graph):
         assert image.genus() == graph.genus()
         assert image.num_markings == graph.num_markings
         assert image.is_stable()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stable_graphs())
+def test_start_sorted_triple_keeps_the_key(graph):
+    # the covers' memo key: an isomorphic relabelling, and the canonical key
+    # itself when the start colors are pairwise distinct
+    triple = (graph.weights, graph.edges, graph.markings)
+    for t in [triple] + [_contract_raw(*triple, e) for e in range(graph.num_edges)]:
+        key = _canonical_raw(*t)[0]
+        relabelled = _start_sorted(*t)
+        assert _canonical_raw(*relabelled)[0] == key, t
+        start = _start_colors(*t)
+        if len(set(start)) == len(start):
+            assert relabelled == key, t
 
 
 def random_graph(rng):

@@ -18,9 +18,12 @@ module, so a caller must reach it through a module-level name
 (test_traced_counts_match_an_in_process_count); the enumeration calls
 graphs._canonical_group instead, which the tracer does not count.  Each
 workload of BENCHMARK.json runs under the tracer, from outside perfbench/,
-and prints what the CLI prints (test_tracer_runs_each_benchmark_workload).
+and prints what the CLI prints (test_tracer_runs_each_benchmark_workload);
+untraced, it prints the bytes whose digest perfbench/run.py checks
+(test_each_benchmark_workload_prints_its_digest).
 """
 
+import hashlib
 import json
 import os
 import runpy
@@ -35,12 +38,12 @@ from tropmoduli import cli, complexes, enumeration, graphs, homology, reduced_ho
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _benchmark_commands():
-    """The CLI arguments of each workload that BENCHMARK.json declares, as
-    perfbench/run.py defines them."""
+def _benchmark_workloads():
+    """Each workload that BENCHMARK.json declares, as perfbench/run.py
+    defines it: its CLI arguments and the digest of its output."""
     workloads = runpy.run_path(str(ROOT / "perfbench" / "run.py"))["WORKLOADS"]
     names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    return {name: workloads[name].args for name in names}
+    return {name: workloads[name] for name in names}
 
 
 def test_perfbench_selftest_passes():
@@ -139,10 +142,12 @@ def test_traced_counts_match_an_in_process_count(monkeypatch, capsys, tmp_path):
     )
 
 
-_COMMANDS = _benchmark_commands()
+_WORKLOADS = _benchmark_workloads()
 
 
-@pytest.mark.parametrize("args", list(_COMMANDS.values()), ids=list(_COMMANDS))
+@pytest.mark.parametrize(
+    "args", [w.args for w in _WORKLOADS.values()], ids=list(_WORKLOADS)
+)
 def test_tracer_runs_each_benchmark_workload(tmp_path, args):
     # the tracer wraps link_cells, has_expansion, the graph methods and the
     # cells by name, so a traced run breaks when one of them changes; it
@@ -165,3 +170,18 @@ def test_tracer_runs_each_benchmark_workload(tmp_path, args):
     assert (traced.returncode, plain.returncode) == (0, 0), traced.stderr + plain.stderr
     assert traced.stdout == plain.stdout
     assert json.loads((tmp_path / "trace.json").read_text())["exit"] == 0
+
+
+@pytest.mark.parametrize("workload", list(_WORKLOADS.values()), ids=list(_WORKLOADS))
+def test_each_benchmark_workload_prints_its_digest(tmp_path, workload):
+    # the benchmark checks each output against the digest of the seed's; a
+    # change of one byte fails here first
+    plain = subprocess.run(
+        [sys.executable, "-m", "tropmoduli.cli", *workload.args],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        timeout=300,
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert hashlib.sha256(plain.stdout).hexdigest() == workload.digest
