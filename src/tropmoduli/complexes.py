@@ -17,13 +17,9 @@ the catalog keeps for each type.  The cones build graph objects for callers
 that want them.  The poset is unsigned: incidence signs orient the
 chain complex, so they live in the homology module.  Purity is checked by
 the enumeration sweep, so every catalog this module reads is already pure.
-
-An OrbitCatalog holds the S_n-orbits of the types instead, types with
-unlabelled markings.  It counts the surviving cells of each orbit from the
-automorphisms that the sweep kept for the orbit, and labels only the orbits
-that pass a caller's test; homology reads it for g >= 1, where the basis is a
-small share of the cells.  The chain complex of a FacePoset, cell by labelled
-cell, is the tests' oracle (tests/oracles.reference_chain_complex).
+Homology reads no FacePoset: it reads S_n-orbits (enumeration.OrbitCatalog)
+for g >= 1 and splits for g = 0.  The chain complex of a FacePoset, cell by
+labelled cell, is the tests' oracle (tests/oracles.reference_chain_complex).
 """
 
 from __future__ import annotations
@@ -31,21 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .enumeration import (
-    TypeCatalog,
-    _labelled_types,
-    _orbit_size,
-    enumerate_orbits,
-    enumerate_types,
-    max_edges,
-)
+from .enumeration import TypeCatalog, enumerate_orbits, enumerate_types, max_edges
 from .errors import InternalConsistencyError
 from .graphs import (
     EdgeAutomorphismGroup,
     WeightedMarkedGraph,
     _canonical_raw,
     _contract_raw,
-    _edge_group,
     _start_sorted,
 )
 
@@ -65,10 +53,6 @@ class Cone:
     def edge_group(self) -> EdgeAutomorphismGroup:
         """Edge-permutation image of the automorphism group, computed once."""
         return self.graph.automorphisms()
-
-
-def _repeated_edge(edges) -> bool:
-    return len(set(edges)) < len(edges)
 
 
 class FacePoset(TypeCatalog):
@@ -163,73 +147,6 @@ def complex_dimension(g: int, n: int) -> int:
     """
     enumerate_orbits(g, n)
     return max_edges(g, n) - 1
-
-
-def _orbit(key, group) -> tuple[int, bool]:
-    """The number of labelled types in the orbit of an orbit key of
-    enumerate_orbits, from enumeration._orbit_size, and whether they are
-    odd, read off the automorphisms fixing every marked vertex, a labelled
-    type's automorphism group."""
-    fixing, size = _orbit_size(key, group)
-    return size, _edge_group(key[1], fixing).has_odd_element
-
-
-def _label(orbits) -> tuple[tuple, ...]:
-    """The canonical triples of the labelled types in the orbits, sorted by
-    encoding as in the catalog.  Each orbit is an orbit key with its size
-    from _orbit, and it must label into that many types (see
-    enumeration._labelled_types)."""
-    cells = []
-    for key, size in orbits:
-        labelled = _labelled_types(key)
-        if len(labelled) != size:
-            raise InternalConsistencyError(
-                f"orbit {key} labels into {len(labelled)} types, but its "
-                f"automorphisms give {size}"
-            )
-        cells += labelled
-    return tuple(sorted(cells, key=repr))
-
-
-class OrbitCells:
-    """The labelled cells of some S_n-orbits of one dimension.
-
-    orbits holds (orbit key, size) pairs from _orbit.  The length is the sum
-    of the sizes, so it is read without labelling.  where(test) labels only
-    the orbits whose key passes test, a test that reads no markings, into
-    their canonical triples in catalog order.
-    """
-
-    def __init__(self, orbits: tuple[tuple[tuple, int], ...]):
-        self.orbits = orbits
-        self._len = sum(size for _, size in orbits)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def where(self, test) -> tuple[tuple, ...]:
-        return _label(tuple(orbit for orbit in self.orbits if test(*orbit[0])))
-
-
-class OrbitCatalog(TypeCatalog):
-    """The S_n-orbits of the stable (g, n) types: the catalog of
-    enumeration.enumerate_orbits itself, its keys the canonical orbit
-    triples in catalog order, each with its group.  The surviving cells are
-    counted per orbit and labelled only when read."""
-
-    @cached_property
-    def generators(self) -> tuple[OrbitCells, ...]:
-        """The surviving cells by dimension, those without an odd edge
-        automorphism: one OrbitCells per dimension, over the orbits whose
-        cells survive."""
-        by_dimension: list[list] = [[] for _ in range(max_edges(self.g, self.n))]
-        for key in self.keys[1:]:
-            if _repeated_edge(key[1]):  # two parallel edges swap oddly, whatever the group
-                continue
-            size, odd = _orbit(key, self.groups.get(key, ()))
-            if not odd:
-                by_dimension[len(key[1]) - 1].append((key, size))
-        return tuple(OrbitCells(tuple(orbits)) for orbits in by_dimension)
 
 
 def hasse_dot(poset: FacePoset) -> str:

@@ -46,13 +46,28 @@ maximal, a cone of too low a dimension, unless some vertex has positive
 weight or four or more half-edges and markings.  A purity error names an
 orbit key.
 
-enumerate_types labels each level of orbits.  An orbit whose markings sit
-on at most one vertex is its own labelled type: its colors and encoding are
-the labelled ones, and for n <= 1 every orbit is one.  Any other orbit
-gives the distinct canonical forms of its assignments of the markings.  The
-catalog order (edge count, then canonical encoding) is part of the external
-contract: golden files depend on it.  count_types, which the CLI's CSV
-output prints, sums the orbit sizes by edge count and labels nothing.
+An orbit gives three facts, read off its key and its stored group alone.
+Its size (_orbit_size): the group acts on the assignments of the markings to
+the vertices through the permutations it induces on the marked vertices,
+and those act freely.  There are a of them, the group's order over that of
+its subgroup F fixing every marked vertex, so the orbit holds
+n! / (a * prod c_v!) labelled types, where vertex v carries c_v markings.
+Its parity: F is a labelled type's automorphism group, so the orbit's types
+are odd, zero in the rational chains, iff some element of F permutes the
+edges oddly; S_n permutes the types of an orbit, so all have one parity.
+Its labelled types (_labelled_types): an orbit whose markings sit on at
+most one vertex is its own labelled type, its colors and encoding the
+labelled ones, and for n <= 1 every orbit is one; any other orbit gives the
+distinct canonical forms of its assignments of the markings.
+
+enumerate_types labels each level of orbits.  The catalog order (edge count,
+then canonical encoding) is part of the external contract: golden files
+depend on it.  count_types, which the CLI's CSV output prints, sums the
+orbit sizes by edge count and labels nothing.  enumerate_orbits returns an
+OrbitCatalog, which counts the surviving cells of each orbit by dimension
+and labels only the orbits that pass a caller's test, checking each against
+its size; homology reads it for g >= 1, where the basis is a small share of
+the cells.
 
 Each key keeps the vertex automorphisms found by the search that labelled
 it (graphs._canonical_group), if there are more than the identity: an orbit
@@ -73,7 +88,13 @@ from itertools import permutations
 from math import factorial, prod
 
 from .errors import InternalConsistencyError, ResourceBoundExceeded, UnstableTypeError
-from .graphs import WeightedMarkedGraph, _canonical_group, _start_colors
+from .graphs import (
+    WeightedMarkedGraph,
+    _canonical_group,
+    _edge_group,
+    _repeated_edge,
+    _start_colors,
+)
 from .parallel import parallel_map
 
 
@@ -312,14 +333,14 @@ def enumerate_types(g: int, n: int, threads: int = 1) -> TypeCatalog:
     return _catalog(g, n, levels, groups)
 
 
-def _catalog(g: int, n: int, levels, groups) -> TypeCatalog:
+def _catalog(g: int, n: int, levels, groups, kind=TypeCatalog):
     keys = tuple(key for level in levels for key in level)
-    return TypeCatalog(g, n, keys, tuple(map(len, levels)), groups)
+    return kind(g, n, keys, tuple(map(len, levels)), groups)
 
 
-def enumerate_orbits(g: int, n: int) -> TypeCatalog:
-    """The S_n-orbits of the stable (g, n) types, in catalog order, as a
-    catalog whose f-vector counts orbits.
+def enumerate_orbits(g: int, n: int) -> OrbitCatalog:
+    """The S_n-orbits of the stable (g, n) types, in catalog order, as an
+    OrbitCatalog whose f-vector counts orbits.
 
     An orbit is a type with unlabelled markings: the triple (weights, edges,
     markings) whose markings are the sorted tuple of the vertices that carry
@@ -328,20 +349,14 @@ def enumerate_orbits(g: int, n: int) -> TypeCatalog:
     n <= 1 each orbit is one type, with that type's key and group.
     """
     require_stable_range(g, n)
-    return _catalog(g, n, *_sweep(g, n))
+    return _catalog(g, n, *_sweep(g, n), kind=OrbitCatalog)
 
 
 def _orbit_size(key, group) -> tuple[list, int]:
     """The vertex automorphisms in an orbit key's group that fix every
-    marked vertex, and the number of labelled types in the orbit.
-
-    The vertex automorphisms of the key act on the assignments of the
-    markings to the vertices through the permutations they induce on the
-    marked vertices, and those act freely.  There are a of them, the
-    automorphisms over the subgroup that fixes every marked vertex, so the
-    orbit holds n! / (a * prod c_v!) labelled types, where vertex v carries
-    c_v markings.  That subgroup is a labelled type's automorphism group.  A
-    division with a remainder raises InternalConsistencyError."""
+    marked vertex, and the number of labelled types in the orbit (see the
+    module docstring).  A division with a remainder raises
+    InternalConsistencyError."""
     weights, edges, markings = key
     marked = sorted(set(markings))
     sigmas = group or [range(len(weights))]
@@ -370,3 +385,57 @@ def count_types(g: int, n: int) -> tuple[int, ...]:
             1 if _is_type(key[2]) else _orbit_size(key, orbits.groups.get(key, ()))[1]
         )
     return tuple(counts)
+
+
+class OrbitCells:
+    """The labelled cells of some S_n-orbits of one dimension.
+
+    orbits holds (orbit key, size) pairs.  The length is the sum of the
+    sizes, so it is read without labelling.  where(test) labels only the
+    orbits whose key passes test, a test that reads no markings, into their
+    canonical triples in catalog order.  An orbit that labels into any other
+    number of types than its size is an internal consistency error, which
+    audits the automorphisms that the size was read from.
+    """
+
+    def __init__(self, orbits: tuple[tuple[tuple, int], ...]):
+        self.orbits = orbits
+        self._len = sum(size for _, size in orbits)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def where(self, test) -> tuple[tuple, ...]:
+        cells = []
+        for key, size in self.orbits:
+            if not test(*key):
+                continue
+            labelled = _labelled_types(key)
+            if len(labelled) != size:
+                raise InternalConsistencyError(
+                    f"orbit {key} labels into {len(labelled)} types, but its "
+                    f"automorphisms give {size}"
+                )
+            cells += labelled
+        return tuple(sorted(cells, key=repr))
+
+
+class OrbitCatalog(TypeCatalog):
+    """The S_n-orbits of the stable (g, n) types: the catalog of
+    enumerate_orbits, its keys the canonical orbit triples in catalog order,
+    each with its group.  The surviving cells are counted per orbit and
+    labelled only when read."""
+
+    @cached_property
+    def generators(self) -> tuple[OrbitCells, ...]:
+        """The surviving cells by dimension, those without an odd edge
+        automorphism: one OrbitCells per dimension, over the orbits whose
+        cells survive, each with its size (see the module docstring)."""
+        by_dimension: list[list] = [[] for _ in range(max_edges(self.g, self.n))]
+        for key in self.keys[1:]:
+            if _repeated_edge(key[1]):
+                continue
+            fixing, size = _orbit_size(key, self.groups.get(key, ()))
+            if not _edge_group(key[1], fixing).has_odd_element:
+                by_dimension[len(key[1]) - 1].append((key, size))
+        return tuple(OrbitCells(tuple(orbits)) for orbits in by_dimension)

@@ -490,6 +490,11 @@ def _canonical_group(weights, edges, markings, start=None, unlabelled=False):
     return key, tuple(tuple(leaf[v] for v in back) for leaf in leaves)
 
 
+def _repeated_edge(edges) -> bool:
+    """Whether two edges are parallel: they swap oddly, whatever the group."""
+    return len(set(edges)) < len(edges)
+
+
 def _edge_group(edges, sigmas) -> EdgeAutomorphismGroup:
     """Order and parity of the edge permutations induced by a group of
     vertex automorphisms sigmas, each once, the identity first; () stands

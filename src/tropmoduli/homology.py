@@ -53,19 +53,15 @@ they come from different complexes, so every run checks the contractibility
 step.  A negative Betti number is refused.
 
 For g >= 1 the chain ranks come from S_n-orbits.  S_n permutes the
-markings, and with them the cells; parity is constant on each orbit, and the
-basis test reads no marking.  So reduced_homology reads the orbits of the
-enumeration sweep (enumerate_orbits: types with unlabelled markings, a
-vertex's color counting its markings) and counts each surviving orbit as
-n! / (a * prod c_v!) labelled cells, where vertex v carries c_v markings and
-a is the number of permutations of the marked vertices that the orbit's
-automorphisms induce.  The generator cap reads those counts, and only the
-orbits in the basis are labelled, as enumerate_types labels its levels.
-An orbit that labels into any other number of cells than its count is an
-internal consistency error, which audits a.  The boundary columns and every
-audit are then those of the labelled catalog, whose chain complex the tests
-build cell by labelled cell as their oracle
-(tests/oracles.reference_chain_complex).  Chan, Galatius and Payne (arXiv
+markings, and with them the cells; the basis test reads no marking.  So
+reduced_homology reads the OrbitCatalog of enumerate_orbits, which gives
+each orbit's size and parity and labels only the orbits in the basis (see
+the enumeration module).  The generator cap reads the sizes.  The boundary
+columns and every audit are then those of the labelled catalog, whose chain
+complex the tests build cell by labelled cell as their oracle
+(tests/oracles.reference_chain_complex).  Before the sweep, the cap reads a
+lower bound on the one-edge cells that grows with g alone, so a genus far
+past any cap is refused without sweeping.  Chan, Galatius and Payne (arXiv
 1903.07187) read the top-weight cohomology of M_{g,n} off this
 S_n-equivariant link, and Chan, Faber, Galatius and Payne (arXiv
 1904.06367) compute its equivariant Euler characteristic from the same
@@ -100,10 +96,9 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .complexes import OrbitCatalog, _repeated_edge
-from .enumeration import enumerate_orbits, max_edges, require_stable_range
+from .enumeration import OrbitCatalog, enumerate_orbits, max_edges, require_stable_range
 from .errors import InternalConsistencyError, ResourceBoundExceeded
-from .graphs import _canonical_raw, _contract_raw, _edge_relabeling, perm_sign
+from .graphs import _canonical_raw, _contract_raw, _edge_relabeling, _repeated_edge, perm_sign
 
 #: Generator cap used when none is given.  It counts surviving cells (the
 #: chain ranks), not matrix columns: (2, 4) has 2915 and 180.  (1, 6) needs
@@ -128,11 +123,12 @@ class ChainComplex:
     test, and is empty otherwise.
 
     On the orbit route of reduced_homology (g >= 1) each generators_by_degree
-    entry is an OrbitCells: its length is counted from the orbits, and only
-    the basis is labelled.  On the genus-0 route both lists hold the cells
-    as sorted tuples of split indices instead, every cell in the basis.  The
-    tests' labelled oracle, tests/oracles.reference_chain_complex, holds
-    canonical triples in catalog order in both.
+    entry is an OrbitCells of enumeration.OrbitCatalog.generators, counted
+    from the orbits and labelled only where read.  On the genus-0 route both
+    lists hold the cells as sorted tuples of split indices instead, every
+    cell in the basis.  The tests' labelled oracle,
+    tests/oracles.reference_chain_complex, holds canonical triples in
+    catalog order in both.
     """
 
     g: int
@@ -388,10 +384,34 @@ def reduced_homology(
     """Exact reduced rational Betti numbers of the link of (g, n)."""
     if g == 0:
         return homology_of_chain(_tree_chain_complex(n, max_generators))
-    orbits = enumerate_orbits(g, n)
-    link = OrbitCatalog(g, n, orbits.keys, orbits.f_vector, orbits.groups)
+    require_stable_range(g, n)
+    _refuse_by_genus(g, n, max_generators)
+    link = enumerate_orbits(g, n)
     chain = chain_complex_within_bounds(link, max_generators=max_generators)
     return homology_of_chain(chain)
+
+
+def _refuse_by_genus(g: int, n: int, max_generators: int | None) -> None:
+    """Raise ResourceBoundExceeded, before any sweep, when for g >= 1 the
+    one-edge cells alone pass max_generators.  Each one-edge cell survives.
+    Counted are the loop and, for each stable genus split, the separating
+    edge with every marking on one side: 1 + g // 2 of them for n = 0, g
+    for n = 1 and g + 1 for n >= 2, a bound that grows with g alone.  The
+    cap is below the bound, which is at most g + 1, so a genus of at most
+    100 digits leaves every number short; a longer one is given by its
+    digit count."""
+    bound = 1 + g // 2 if n == 0 else g if n == 1 else g + 1
+    if max_generators is None or bound <= max_generators:
+        return
+    if _digits_at_most(g) > 100:
+        raise ResourceBoundExceeded(
+            f"(g, n) = (a {_digits(g)}-digit genus, {n}) needs more generators "
+            "than the cap, its one-edge cells alone"
+        )
+    raise ResourceBoundExceeded(
+        f"(g, n) = ({g}, {n}) needs at least {bound} generators, its one-edge "
+        f"cells alone, over the cap of {max_generators}"
+    )
 
 
 def chain_complex_within_bounds(

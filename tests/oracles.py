@@ -69,7 +69,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from math import gcd
+from math import factorial, gcd
 
 
 def is_connected(num_vertices, edges) -> bool:
@@ -481,6 +481,89 @@ def split_lefschetz_number(splits, cells_by_degree, sigma):
         (-1) ** p * sum(sign for j, (row, sign) in enumerate(images) if row == j)
         for p, images in enumerate(split_action(splits, cells_by_degree, sigma))
     )
+
+
+def cycle_type(perm):
+    """The cycle lengths of a permutation, given as a tuple of images, in
+    descending order."""
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            k = perm[k]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def orbit_lefschetz_numbers(orbits):
+    """The Lefschetz number of each cycle type of S_n on the link of (g, n),
+    read off an OrbitCatalog's keys and stored groups alone: a dict from
+    cycle lengths in descending order to the number.
+
+    An orbit key O with group G has the labelled representative that puts
+    marking k on the k-th entry a_k of its markings.  A pair (phi, tau) is
+    an automorphism phi in G and a permutation tau of the markings with
+    phi(a_k) = a_tau(k) for every k; each phi has prod c_v! of them, where
+    vertex v carries c_v markings.  The taus form the stabilizer H of the
+    representative, each from |F| automorphisms, where F fixes every marked
+    vertex.  The orbit is killed iff some element of F permutes the edges
+    oddly; otherwise tau acts on its chain line by the edge sign of phi, and
+    the chains of O are the induced representation, whose character at
+    sigma is |C(sigma)| / (|F| * |H|) times the sum of those signs over the
+    pairs with tau conjugate to sigma, where C(sigma) is the centralizer of
+    sigma.  |F| * |H| is the number of pairs.  The cone
+    point counts in degree -1.  A cycle type that is not listed has
+    Lefschetz number 0.
+    """
+    n = orbits.n
+    totals = Counter()
+    for weights, edges, markings in orbits.keys:
+        if len(set(edges)) < len(edges):
+            continue  # two parallel edges swap oddly
+        group = orbits.groups.get((weights, edges, markings)) or (tuple(range(len(weights))),)
+        index = {edge: i for i, edge in enumerate(edges)}
+
+        def edge_sign(phi):
+            moved = tuple(index[tuple(sorted((phi[u], phi[v])))] for u, v in edges)
+            return 1 - 2 * ((len(moved) - len(cycle_type(moved))) % 2)
+
+        marked = sorted(set(markings))
+        if any(
+            edge_sign(phi) == -1 for phi in group if all(phi[v] == v for v in marked)
+        ):
+            continue
+        labels = {v: [k for k, a in enumerate(markings) if a == v] for v in marked}
+        signs, pairs = Counter(), 0
+        for phi in group:
+            sign = edge_sign(phi)
+            for images in itertools.product(
+                *(itertools.permutations(labels[phi[v]]) for v in marked)
+            ):
+                tau = [0] * n
+                for v, image in zip(marked, images):
+                    for k, t in zip(labels[v], image):
+                        tau[k] = t
+                signs[cycle_type(tau)] += sign
+                pairs += 1
+        p = len(edges) - 1
+        for lengths, total in signs.items():
+            value, rest = divmod(centralizer_order(lengths) * total, pairs)
+            assert not rest, f"orbit {(weights, edges, markings)}: no whole character"
+            totals[lengths] += (1 - 2 * (p % 2)) * value
+    return dict(totals)
+
+
+def centralizer_order(lengths):
+    """The order of the centralizer of a permutation with these cycle
+    lengths: the product over each length i, taken m_i times, of
+    m_i! * i**m_i."""
+    order = 1
+    for length, times in Counter(lengths).items():
+        order *= factorial(times) * length**times
+    return order
 
 
 def reference_betti(link):

@@ -313,6 +313,23 @@ class TestHomologyCommand:
         )
         assert code == 0
 
+    def test_huge_genus_is_refused_before_the_sweep(self):
+        # its first expansion alone would try 10**20 weight splits; a
+        # separate process with a timeout keeps a regression from hanging
+        result = subprocess.run(
+            [sys.executable, "-m", "tropmoduli.cli", "homology",
+             "--genus", str(10**20 - 1), "--markings", "1"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: (g, n) = ({10**20 - 1}, 1) needs at least {10**20 - 1} "
+            "generators, its one-edge cells alone, over the cap of 20000\n"
+        )
+
 
 class TestTropicalizeModelCommand:
     @pytest.fixture

@@ -19,6 +19,7 @@ from tropmoduli import (
     top_weight_cohomology,
 )
 from tropmoduli import complexes, enumeration, graphs, homology
+from tropmoduli.enumeration import OrbitCells
 from tropmoduli.graphs import perm_sign
 from tropmoduli.homology import (
     _coboundary_ranks,
@@ -30,6 +31,7 @@ from oracles import (
     is_odd,
     labelled_generators,
     lefschetz_number,
+    orbit_lefschetz_numbers,
     reference_betti,
     reference_boundary_columns,
     reference_chain_complex,
@@ -37,6 +39,7 @@ from oracles import (
     split_action,
     split_lefschetz_number,
 )
+from test_enumeration import one_edge_count
 
 _chains = {}
 
@@ -125,6 +128,21 @@ def genus_zero_character(n, lengths, sigma):
     fixed = lengths.count(1)  # lengths[:-1] drops one fixed point
     induced = fixed * lie_character(n - 1, lengths[:-1]) if fixed else 0
     return perm_sign(sigma) * (induced - lie_character(n, lengths))
+
+
+def n_gon_character(sigma):
+    """Character of H~_(n-1) of the genus-1 link at sigma: S_n permutes the
+    n-gons, one per cyclic order of the markings up to reversal, by the
+    sign of the edge permutation (Chan-Galatius-Payne, arXiv 1903.07187)."""
+    n = len(sigma)
+    gons = [(0, *rest) for rest in permutations(range(1, n)) if rest[0] < rest[-1]]
+    character = 0
+    for order in gons:
+        edges = [frozenset((order[i - 1], order[i])) for i in range(n)]
+        moved = [frozenset(sigma[k] for k in e) for e in edges]
+        if set(moved) == set(edges):
+            character += perm_sign(tuple(edges.index(e) for e in moved))
+    return character
 
 
 def random_columns(rng, nrows, ncols, density):
@@ -417,20 +435,11 @@ class TestPublishedRanks:
             character = genus_zero_character(n, lengths, sigma)
             assert basis_lefschetz(0, n, sigma) == (-1) ** (n - 4) * character
 
-    # H~_(n-1) of the genus-1 link has a basis of the n-gons, one per cyclic
-    # order of the markings up to reversal, on which S_n acts by the sign of
-    # the edge permutation (Chan-Galatius-Payne, arXiv 1903.07187)
+    # H~_(n-1) is the only nonzero group of the genus-1 link
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_genus_one_character(self, n):
-        gons = [(0, *rest) for rest in permutations(range(1, n)) if rest[0] < rest[-1]]
         for _, sigma in cycle_type_representatives(n):
-            character = 0
-            for order in gons:
-                edges = [frozenset((order[i - 1], order[i])) for i in range(n)]
-                moved = [frozenset(sigma[k] for k in e) for e in edges]
-                if set(moved) == set(edges):
-                    character += perm_sign(tuple(edges.index(e) for e in moved))
-            assert basis_lefschetz(1, n, sigma) == (-1) ** (n - 1) * character
+            assert basis_lefschetz(1, n, sigma) == (-1) ** (n - 1) * n_gon_character(sigma)
 
 
 class TestRelativeRoute:
@@ -682,7 +691,7 @@ class TestOrbitRoute:
         assert chain.basis_by_degree == labelled.basis_by_degree
         assert chain.boundaries == labelled.boundaries
         # labelling every surviving orbit gives the labelled generators
-        cells = tuple(complexes._label(c.orbits) for c in chain.generators_by_degree)
+        cells = tuple(c.where(lambda *key: True) for c in chain.generators_by_degree)
         assert cells == labelled.generators_by_degree
 
     @pytest.mark.parametrize(
@@ -695,11 +704,15 @@ class TestOrbitRoute:
         levels = [[] for _ in catalog.f_vector]
         orbits = enumeration.enumerate_orbits(g, n)
         for key in orbits.keys:
-            size, _ = complexes._orbit(key, orbits.groups.get(key, ()))
+            _, size = enumeration._orbit_size(key, orbits.groups.get(key, ()))
             levels[len(key[1])].append((key, size))
         assert tuple(sum(size for _, size in level) for level in levels) == catalog.f_vector
         # labelling every orbit gives the catalog, level by level
-        labelled = tuple(key for level in levels for key in complexes._label(level))
+        labelled = tuple(
+            key
+            for level in levels
+            for key in OrbitCells(tuple(level)).where(lambda *key: True)
+        )
         assert labelled == catalog.keys
 
     def test_labelling_audits_the_orbit_size(self, monkeypatch):
@@ -743,7 +756,7 @@ class TestOrbitRoute:
         def refused(*args):
             raise AssertionError("the cap must refuse before labelling or contracting")
 
-        monkeypatch.setattr(complexes, "_label", refused)
+        monkeypatch.setattr(enumeration, "_labelled_types", refused)
         monkeypatch.setattr(homology, "_contract_raw", refused)
         with pytest.raises(ResourceBoundExceeded) as err:
             reduced_homology(2, 5)
@@ -753,6 +766,51 @@ class TestOrbitRoute:
             "(g, n) = (2, 5) needs 38365 generators, over the cap of 20000; "
             f"chain ranks by degree: {list(ranks)}"
         )
+
+
+class TestOrbitLefschetz:
+    """oracles.orbit_lefschetz_numbers audits the orbit keys, their stored
+    groups and their parity without labelling a cell."""
+
+    @pytest.mark.parametrize(
+        "g,n",
+        [(1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (0, 5), (0, 6),
+         (3, 0), (4, 0)],
+    )
+    def test_matches_the_labelled_link(self, g, n):
+        link = build_poset(g, n)
+        whole = ((link.keys[0],), *labelled_generators(link))
+        numbers = orbit_lefschetz_numbers(enumeration.enumerate_orbits(g, n))
+        for lengths, sigma in cycle_type_representatives(n):
+            assert numbers.get(lengths, 0) == lefschetz_number(whole, sigma)
+
+    @pytest.mark.parametrize(
+        "g,n",
+        [(g, n) for g in range(5) for n in range(7)
+         if 2 * g - 2 + n > 0 and 1 <= 3 * g - 3 + n <= 6],
+    )
+    def test_identity_class_is_the_euler_characteristic(self, g, n):
+        numbers = orbit_lefschetz_numbers(enumeration.enumerate_orbits(g, n))
+        assert numbers[(1,) * n] == reduced_homology(g, n).euler_reduced
+
+    # the published characters past the labelled link's reach (see
+    # TestPublishedRanks), each in the one degree that carries homology
+    @pytest.mark.parametrize("g,n", [(0, 8), (1, 6), (1, 7)])
+    def test_published_characters(self, g, n):
+        numbers = orbit_lefschetz_numbers(enumeration.enumerate_orbits(g, n))
+        for lengths, sigma in cycle_type_representatives(n):
+            if g == 0:
+                expected = (-1) ** (n - 4) * genus_zero_character(n, lengths, sigma)
+            else:
+                expected = (-1) ** (n - 1) * n_gon_character(sigma)
+            assert numbers.get(lengths, 0) == expected
+
+    # (2, 6) and (3, 4) have homology in two degrees: 86 - 26 and 3 - 2;
+    # H~_7 of (1, 8) has rank 7!/2 (criterion 3)
+    @pytest.mark.parametrize("g,n,euler", [(2, 6, 60), (3, 4, 1), (1, 8, -2520)])
+    def test_identity_class_past_the_default_cap(self, g, n, euler):
+        numbers = orbit_lefschetz_numbers(enumeration.enumerate_orbits(g, n))
+        assert numbers[(1,) * n] == euler
 
 
 class TestEuler:
@@ -818,6 +876,41 @@ class TestResourceBound:
     def test_cap_allows_small_cases(self):
         profile = reduced_homology(1, 3, max_generators=10_000)
         assert profile.betti(2) == 1
+
+    @pytest.mark.parametrize("n,bound", [(0, 16), (1, 30), (2, 31), (5, 31)])
+    def test_genus_past_the_cap_refuses_before_the_sweep(self, monkeypatch, n, bound):
+        class Swept(Exception):
+            pass
+
+        def swept(*args):
+            raise Swept
+
+        _patch_everywhere(monkeypatch, (enumeration, homology), ["enumerate_orbits"], swept)
+        with pytest.raises(ResourceBoundExceeded) as err:
+            reduced_homology(30, n, max_generators=bound - 1)
+        assert err.value.chain_ranks is None
+        assert str(err.value) == (
+            f"(g, n) = (30, {n}) needs at least {bound} generators, its one-edge "
+            f"cells alone, over the cap of {bound - 1}"
+        )
+        with pytest.raises(Swept):
+            reduced_homology(30, n, max_generators=bound)
+
+    def test_genus_past_the_digit_limit_is_refused_by_its_digits(self):
+        with pytest.raises(ResourceBoundExceeded) as err:
+            reduced_homology(10**5000, 1)
+        assert str(err.value) == (
+            "(g, n) = (a 5001-digit genus, 1) needs more generators than the cap, "
+            "its one-edge cells alone"
+        )
+
+    @pytest.mark.parametrize(
+        "g,n", [(g, n) for g in range(1, 9) for n in range(5) if 2 * g - 2 + n > 0]
+    )
+    def test_genus_bound_is_at_most_the_one_edge_level(self, g, n):
+        # every one-edge cell survives, so a cap at the closed form of that
+        # level must pass the genus check
+        homology._refuse_by_genus(g, n, one_edge_count(g, n))
 
 
 class TestConsistencyChecks:

@@ -59,18 +59,18 @@ def test_perfbench_selftest_passes():
 
 def test_orbit_route_keeps_the_tracer_contract(monkeypatch):
     chains, labelled = [], []
-    build, label = homology.build_chain_complex, complexes._label
+    build, label = homology.build_chain_complex, enumeration._labelled_types
 
     def traced_build(link):
         chains.append(build(link))
         return chains[-1]
 
-    def recorded_label(orbits):
-        labelled.extend(key for key, _ in orbits)
-        return label(orbits)
+    def recorded_label(key):
+        labelled.append(key)
+        return label(key)
 
     monkeypatch.setattr(homology, "build_chain_complex", traced_build)
-    monkeypatch.setattr(complexes, "_label", recorded_label)
+    monkeypatch.setattr(enumeration, "_labelled_types", recorded_label)
     assert reduced_homology(1, 3).betti(2) == 1
     (chain,) = chains
     assert sum(map(len, chain.generators_by_degree)) == 5 + 7 + 4
