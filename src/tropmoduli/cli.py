@@ -12,21 +12,22 @@ is a domain error found before any computation.
 Environment variables TROPMODULI_THREADS, TROPMODULI_MAX_GENERATORS,
 TROPMODULI_FORMAT, and TROPMODULI_OUTPUT mirror the corresponding flags; an
 empty variable counts as unset.
+
+Each subcommand imports the modules it runs when it runs, so building the
+parser loads only this module and errors, and no command loads a layer it
+does not call.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
 
-from . import homology as homology_mod
-from .complexes import build_poset, hasse_dot, link_cells
-from .enumeration import count_types, enumerate_types
 from .errors import (
+    DEFAULT_MAX_GENERATORS,
     ExtendedCurveError,
     GraphError,
     InternalConsistencyError,
@@ -35,9 +36,6 @@ from .errors import (
     ResourceBoundExceeded,
     UnstableTypeError,
 )
-from .graphs import _edge_group
-from .metric import StableModelDescription, tropicalize_model
-from .plane import TropicalPolynomial, _tropical_curve, newton_subdivision, render_svg
 
 _DOMAIN_ERRORS = (
     GraphError,
@@ -90,6 +88,8 @@ def _env(name: str, cast, fallback):
 
 
 def _dump_json(data) -> str:
+    import json
+
     return json.dumps(data, indent=2) + "\n"
 
 
@@ -184,6 +184,8 @@ def _complex_json(link):
     cone point is -1.  The covers and the edge groups, from the vertex
     automorphisms that the link keeps, are computed here, so a failure comes
     before the first piece."""
+    from .graphs import _edge_group
+
     covers = link.covers
     types = link.keys[1:]
     groups = [_edge_group(key[1], link.groups.get(key, ())) for key in types]
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument(
         "--max-generators",
         type=_count,
-        default=_env("MAX_GENERATORS", _count, homology_mod.DEFAULT_MAX_GENERATORS),
+        default=_env("MAX_GENERATORS", _count, DEFAULT_MAX_GENERATORS),
         help=(
             "abort if the link has more surviving cells, the generators counted "
             "by the chain ranks, not the matrix columns (0 = no cap)"
@@ -329,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_enumerate(args) -> None:
+    from .enumeration import count_types, enumerate_types
+
     if args.format == "csv":
         # the f-vector alone: counted on S_n-orbits, no type is labelled
         lines = ["edges,count"]
@@ -344,6 +348,8 @@ def _run_enumerate(args) -> None:
 
 
 def _run_complex(args) -> None:
+    from .complexes import build_poset, hasse_dot, link_cells
+
     if args.format == "dot":
         _write([hasse_dot(build_poset(args.genus, args.markings))], args.output)
     else:
@@ -351,8 +357,10 @@ def _run_complex(args) -> None:
 
 
 def _run_homology(args) -> None:
+    from .homology import reduced_homology
+
     cap = None if args.max_generators == 0 else args.max_generators
-    profile = homology_mod.reduced_homology(args.genus, args.markings, max_generators=cap)
+    profile = reduced_homology(args.genus, args.markings, max_generators=cap)
     top_weight = profile.top_weight()
     if args.format == "json":
         payload = {
@@ -378,6 +386,8 @@ def _run_homology(args) -> None:
 
 
 def _load_json(path: str, error_cls):
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
@@ -387,6 +397,8 @@ def _load_json(path: str, error_cls):
 
 
 def _run_tropicalize_model(args) -> None:
+    from .metric import StableModelDescription, tropicalize_model
+
     data = _load_json(args.model, MalformedModelError)
     model = StableModelDescription.from_json_dict(data)
     metric = tropicalize_model(model)
@@ -399,6 +411,8 @@ def _run_tropicalize_model(args) -> None:
 
 
 def _run_tropicalize_plane(args) -> None:
+    from .plane import TropicalPolynomial, _tropical_curve, newton_subdivision, render_svg
+
     data = _load_json(args.poly, GraphError)
     poly = TropicalPolynomial.from_json_dict(data)
     sub = newton_subdivision(poly)

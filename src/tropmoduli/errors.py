@@ -1,5 +1,5 @@
-"""Exception taxonomy shared by all modules, and the JSON shape checks that
-raise it.
+"""Exception taxonomy shared by all modules, the JSON shape checks that
+raise it, and the default generator cap.
 
 Domain errors (bad input) derive from ValueError so callers can treat them
 uniformly; internal-consistency errors derive from RuntimeError because they
@@ -37,6 +37,19 @@ class ResourceBoundExceeded(RuntimeError):
     def __init__(self, message, chain_ranks=None):
         super().__init__(message)
         self.chain_ranks = chain_ranks
+
+
+#: Generator cap used when none is given.  It counts surviving cells (the
+#: chain ranks), not matrix columns: (2, 4) has 2915 and 180.  (1, 6) needs
+#: 14307, under the cap; (2, 5) needs 38365, so it and every larger job must
+#: be opted into explicitly, although the orbit route now runs (2, 5) in
+#: about a second.  The refusals the tests pin depend on this value.
+DEFAULT_MAX_GENERATORS = 20_000
+
+
+def is_integer(value) -> bool:
+    """Whether value is an int and not a bool (JSON true loads as True)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def json_list(data, field: str, error: type[ValueError]) -> list:

@@ -41,8 +41,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import GraphError, json_list, json_records
-from .rationals import is_integer
+from .errors import GraphError, is_integer, json_list, json_records
 
 Edge = tuple[int, int]
 

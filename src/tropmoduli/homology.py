@@ -60,8 +60,8 @@ the enumeration module).  The generator cap reads the sizes.  The boundary
 columns and every audit are then those of the labelled catalog, whose chain
 complex the tests build cell by labelled cell as their oracle
 (tests/oracles.reference_chain_complex).  Before the sweep, the cap reads a
-lower bound on the one-edge cells that grows with g alone, so a genus far
-past any cap is refused without sweeping.  Chan, Galatius and Payne (arXiv
+lower bound on the one-edge cells that grows with g and n, so a genus or a
+marking count far past any cap is refused without sweeping.  Chan, Galatius and Payne (arXiv
 1903.07187) read the top-weight cohomology of M_{g,n} off this
 S_n-equivariant link, and Chan, Faber, Galatius and Payne (arXiv
 1904.06367) compute its equivariant Euler characteristic from the same
@@ -97,15 +97,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .enumeration import OrbitCatalog, enumerate_orbits, max_edges, require_stable_range
-from .errors import InternalConsistencyError, ResourceBoundExceeded
+from .errors import DEFAULT_MAX_GENERATORS, InternalConsistencyError, ResourceBoundExceeded
 from .graphs import _canonical_raw, _contract_raw, _edge_relabeling, _repeated_edge, perm_sign
-
-#: Generator cap used when none is given.  It counts surviving cells (the
-#: chain ranks), not matrix columns: (2, 4) has 2915 and 180.  (1, 6) needs
-#: 14307, under the cap; (2, 5) needs 38365, so it and every larger job must
-#: be opted into explicitly, although the orbit route now runs (2, 5) in
-#: about a second.  The refusals the tests pin depend on this value.
-DEFAULT_MAX_GENERATORS = 20_000
 
 Column = tuple[tuple[int, int], ...]  # sorted (row, coefficient) pairs
 
@@ -385,22 +378,26 @@ def reduced_homology(
     if g == 0:
         return homology_of_chain(_tree_chain_complex(n, max_generators))
     require_stable_range(g, n)
-    _refuse_by_genus(g, n, max_generators)
+    _refuse_by_one_edge_cells(g, n, max_generators)
     link = enumerate_orbits(g, n)
     chain = chain_complex_within_bounds(link, max_generators=max_generators)
     return homology_of_chain(chain)
 
 
-def _refuse_by_genus(g: int, n: int, max_generators: int | None) -> None:
+def _refuse_by_one_edge_cells(g: int, n: int, max_generators: int | None) -> None:
     """Raise ResourceBoundExceeded, before any sweep, when for g >= 1 the
     one-edge cells alone pass max_generators.  Each one-edge cell survives.
-    Counted are the loop and, for each stable genus split, the separating
-    edge with every marking on one side: 1 + g // 2 of them for n = 0, g
-    for n = 1 and g + 1 for n >= 2, a bound that grows with g alone.  The
-    cap is below the bound, which is at most g + 1, so a genus of at most
-    100 digits leaves every number short; a longer one is given by its
-    digit count."""
-    bound = 1 + g // 2 if n == 0 else g if n == 1 else g + 1
+    Counted are the loop and the larger of two families of separating
+    edges.  One has an edge per stable genus split with every marking on
+    one side: g // 2 of them for n = 0, g - 1 for n = 1 and g for
+    n >= 2.  The other, for n >= 3, has the n edges that cut off a genus-0
+    vertex with n - 1 markings; counting n - 1 of them keeps one formula
+    for n >= 2.  So the bound is 1 + g // 2 for n = 0, g for n = 1 and
+    max(g, n - 1) + 1 for n >= 2.  The cap is below the bound, and n fits
+    in a machine word (require_stable_range), so a genus of at most 100
+    digits leaves every number short; a longer one is given by its digit
+    count."""
+    bound = 1 + g // 2 if n == 0 else g if n == 1 else max(g, n - 1) + 1
     if max_generators is None or bound <= max_generators:
         return
     if _digits_at_most(g) > 100:

@@ -11,7 +11,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import GraphError
+from .errors import GraphError, is_integer
 
 # "t^(q)" or "t^q": the closing parenthesis is required exactly when the
 # opening one is there
@@ -39,11 +39,6 @@ class Infinity:
 
 
 INF = Infinity()
-
-
-def is_integer(value) -> bool:
-    """Whether value is an int and not a bool (JSON true loads as True)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_rational(value) -> Fraction:

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tropmoduli import INF, WeightedMarkedGraph, build_poset, cli, complexes, graphs, plane
+from tropmoduli import INF, WeightedMarkedGraph, build_poset, cli, complexes, enumeration, graphs
+from tropmoduli import homology, plane
 from tropmoduli.cli import dispatch
 from tropmoduli.errors import ResourceBoundExceeded
 from tropmoduli.rationals import format_rational
@@ -66,7 +68,7 @@ class TestEnumerateCommand:
         def refused(*args, **kwargs):
             raise AssertionError("CSV output must not label the catalog")
 
-        monkeypatch.setattr(cli, "enumerate_types", refused)
+        monkeypatch.setattr(enumeration, "enumerate_types", refused)
         _, out, _ = run(
             capsys, "enumerate", "--genus", "2", "--markings", "0", "--format", "csv"
         )
@@ -554,7 +556,6 @@ class TestTropicalizePlaneCommand:
             calls.append(f)
             return original(f)
 
-        monkeypatch.setattr(cli, "newton_subdivision", counted)
         monkeypatch.setattr(plane, "newton_subdivision", counted)
         svg = tmp_path / "conic.svg"
         code, out, _ = run(capsys, "tropicalize-plane", str(poly), "--svg", str(svg))
@@ -821,7 +822,7 @@ class TestUnwritableOutput:
     def test_homology_output_refused_before_work(
         self, capsys, tmp_path, monkeypatch, case
     ):
-        monkeypatch.setattr(cli.homology_mod, "reduced_homology", _refuse_work)
+        monkeypatch.setattr(homology, "reduced_homology", _refuse_work)
         monkeypatch.chdir(tmp_path)
         target, message = _unwritable(tmp_path, case)
         before = sorted(tmp_path.rglob("*"))
@@ -839,7 +840,7 @@ class TestUnwritableOutput:
 
     @pytest.mark.parametrize("case", ["missing-directory", "directory", "empty"])
     def test_plane_svg_refused_before_work(self, capsys, tmp_path, monkeypatch, case):
-        monkeypatch.setattr(cli, "newton_subdivision", _refuse_work)
+        monkeypatch.setattr(plane, "newton_subdivision", _refuse_work)
         monkeypatch.chdir(tmp_path)
         poly = tmp_path / "poly.json"
         terms = [{"i": 1, "j": 0, "val": "0"}, {"i": 0, "j": 0, "val": "0"}]
@@ -867,7 +868,7 @@ class TestUnwritableOutput:
             assert target.exists() == exists
             raise ResourceBoundExceeded("over the cap")
 
-        monkeypatch.setattr(cli.homology_mod, "reduced_homology", failing_work)
+        monkeypatch.setattr(homology, "reduced_homology", failing_work)
         code, out, err = run(
             capsys,
             "homology",
@@ -967,6 +968,27 @@ class TestHugeMarkings:
         assert err == (
             f"error: (g, n) = (1, {10**20}): more than {sys.maxsize} markings "
             "do not fit in memory\n"
+        )
+
+    def test_billion_markings_are_refused_before_the_sweep(self):
+        # the sweep's first tuple of 10**9 markings alone takes 8 GB; under a
+        # 1 GB address-space limit a regression fails with MemoryError
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "tropmoduli.cli", "homology",
+             "--genus", "1", "--markings", str(10**9)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=limit_memory,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: (g, n) = (1, {10**9}) needs at least {10**9} generators, "
+            "its one-edge cells alone, over the cap of 20000\n"
         )
 
     def test_genus_zero_cap_refuses_three_thousand_markings_at_once(self, capsys):

@@ -896,6 +896,33 @@ class TestResourceBound:
         with pytest.raises(Swept):
             reduced_homology(30, n, max_generators=bound)
 
+    @pytest.mark.parametrize("n", [10**9, 20_001])
+    def test_markings_past_the_cap_refuse_before_the_sweep(self, monkeypatch, n):
+        # for n >= 3 each of the n edges that cut off a genus-0 vertex with
+        # n - 1 markings is a one-edge cell, whatever g is
+        def swept(*args):
+            raise AssertionError("the marking count must be refused before the sweep")
+
+        _patch_everywhere(monkeypatch, (enumeration, homology), ["enumerate_orbits"], swept)
+        with pytest.raises(ResourceBoundExceeded) as err:
+            reduced_homology(1, n)
+        assert err.value.chain_ranks is None
+        assert str(err.value) == (
+            f"(g, n) = (1, {n}) needs at least {n} generators, its one-edge "
+            "cells alone, over the cap of 20000"
+        )
+
+    def test_markings_at_the_cap_reach_the_sweep(self, monkeypatch):
+        class Swept(Exception):
+            pass
+
+        def swept(*args):
+            raise Swept
+
+        _patch_everywhere(monkeypatch, (enumeration, homology), ["enumerate_orbits"], swept)
+        with pytest.raises(Swept):
+            reduced_homology(1, 20_000)
+
     def test_genus_past_the_digit_limit_is_refused_by_its_digits(self):
         with pytest.raises(ResourceBoundExceeded) as err:
             reduced_homology(10**5000, 1)
@@ -905,12 +932,12 @@ class TestResourceBound:
         )
 
     @pytest.mark.parametrize(
-        "g,n", [(g, n) for g in range(1, 9) for n in range(5) if 2 * g - 2 + n > 0]
+        "g,n", [(g, n) for g in range(1, 9) for n in range(9) if 2 * g - 2 + n > 0]
     )
     def test_genus_bound_is_at_most_the_one_edge_level(self, g, n):
         # every one-edge cell survives, so a cap at the closed form of that
-        # level must pass the genus check
-        homology._refuse_by_genus(g, n, one_edge_count(g, n))
+        # level must pass the one-edge check
+        homology._refuse_by_one_edge_cells(g, n, one_edge_count(g, n))
 
 
 class TestConsistencyChecks:
